@@ -71,6 +71,13 @@ def parse_float_list(text: str) -> list[float]:
         raise UsageError(f"expected a list of numbers, got {text!r}")
 
 
+def parse_eps_list(text: str) -> list[float]:
+    eps_grid = parse_float_list(text)
+    if not eps_grid or not all(math.isfinite(e) and e > 0 for e in eps_grid):
+        raise UsageError(f"eps must be finite and positive, got {text!r}")
+    return eps_grid
+
+
 def load_config(path: str) -> dict:
     """Flat `key = value` lines; blank lines and # comments ignored."""
     out = {}
@@ -270,7 +277,7 @@ def _gather_omega(sigma, N, M, samples, seed, workers):
 def _scaling_rows(args, workers):
     sigma = parse_sigma(args.sigma)
     scales = parse_int_list(args.scales)
-    eps_grid = parse_float_list(args.eps)
+    eps_grid = parse_eps_list(args.eps)
     curve = EntropyCurve()
     if args.mode == "d":
         levels = scales
@@ -417,7 +424,10 @@ def cmd_classify(args, cfg) -> int:
 
 def cmd_entropy(args, cfg) -> int:
     sigma = parse_sigma(args.sigma)
-    eps = float(args.eps)
+    eps_grid = parse_eps_list(args.eps)
+    if len(eps_grid) != 1:
+        raise UsageError(f"entropy takes a single eps, got {args.eps!r}")
+    eps = eps_grid[0]
     if args.mode == "d":
         w = _gather_w(sigma, args.scale, args.samples, args.seed, args.workers)
         bits = feature_entropy_bits(group_feature_metric(w, args.scale), eps)

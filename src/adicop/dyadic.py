@@ -52,11 +52,6 @@ def tau_inv(digits) -> int:
     return check_mask(mask)
 
 
-def sigma_mask(sigma) -> int:
-    """Mask with bit i set where sigma_i = 1 (generators outside D^sigma)."""
-    return tau_inv(sigma)
-
-
 def sigma_extend(sigma, n: int) -> tuple[int, ...]:
     """Pad a finite sigma with zeros up to length n (extra generators act inside D^sigma)."""
     sigma = tuple(sigma)

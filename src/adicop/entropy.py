@@ -2,8 +2,11 @@
 
 The estimator covers an i.i.d. sample greedily with balls of radius eps/2
 (so covered sets have diameter below eps) until the uncovered fraction
-drops below eps, and reports log2 of the ball count.  An exact set-cover
-oracle is available for tiny instances to calibrate the greedy step.
+drops below eps, and reports log2 of the ball count.  Ball gains are kept
+incrementally, as in accelerated greedy (Minoux 1978): O(n^2) per cover
+instead of O(balls * n^2), with the same counts as plain greedy.  An exact
+set-cover oracle is available for tiny instances to calibrate the greedy
+step.
 
 Averaged cut semimetrics are weighted Hamming distances over an explicit
 feature matrix.  Since a fixed sample cannot count covers beyond roughly
@@ -32,14 +35,6 @@ from .coding import CodedPoint, adic_on_coded, diag
 class Semimetric:
     def dist(self, x, y) -> float:
         raise NotImplementedError
-
-    def matrix(self, points) -> np.ndarray:
-        n = len(points)
-        D = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                D[i, j] = D[j, i] = self.dist(points[i], points[j])
-        return D
 
 
 class CutW0(Semimetric):
@@ -118,16 +113,29 @@ def _max_uncovered(eps: float, n: int) -> int:
 
 def greedy_cover_count(D: np.ndarray, eps: float) -> int:
     """Balls of radius eps/2 around sample points, greedily chosen to cover
-    the most uncovered points, until fewer than an eps fraction is left."""
+    the most uncovered points, until fewer than an eps fraction is left.
+
+    gains[i] counts the uncovered points in ball i; covering point j
+    subtracts column j of the cover relation, which costs O(n^2 + sum of
+    newly covered * n) per call.  The gains are exact integers, so argmax
+    ties and the count are those of plain greedy.  D need not be symmetric.
+    """
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps!r}")
     n = D.shape[0]
     cover = D <= eps / 2 + 1e-12
-    uncovered = np.ones(n, dtype=np.float64)
+    cover_t = np.ascontiguousarray(cover.T)
+    gains = cover.sum(axis=1)
+    uncovered = np.ones(n, dtype=bool)
     allow = _max_uncovered(eps, n)
     balls = 0
-    while uncovered.sum() > allow:
-        gains = cover @ uncovered
+    while np.count_nonzero(uncovered) > allow:
         c = int(np.argmax(gains))
-        uncovered[cover[c]] = 0.0
+        if gains[c] == 0:
+            raise ValueError("uncovered points lie in no ball")
+        new = np.flatnonzero(cover[c] & uncovered)
+        uncovered[new] = False
+        gains -= cover_t[new].sum(axis=0)
         balls += 1
     return max(balls, 1)
 
@@ -237,15 +245,6 @@ def feature_entropy_bits(fm: FeatureMetric, eps: float,
         sub = FeatureMetric(fm.X[:, idx], fm.weights[idx])
         total += feature_entropy_bits(sub, eps, block_dim)
     return total
-
-
-# ---------------------------------------------------------------------------
-# epsilon-entropy of an arbitrary sampled semimetric
-
-def epsilon_entropy(points, rho: Semimetric, eps: float) -> float:
-    """Greedy covering estimate on explicit points; deterministic given the
-    point order."""
-    return greedy_cover_bits(rho.matrix(points), eps)
 
 
 # ---------------------------------------------------------------------------

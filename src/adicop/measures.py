@@ -289,11 +289,6 @@ def pack_words(y: np.ndarray, lo: int, start: int, L: int) -> np.ndarray:
     return block @ (1 << np.arange(L, dtype=np.int64))
 
 
-def table_from_draw(draw: dict, start: int, L: int) -> CylinderTable:
-    codes = pack_words(draw["y"], draw["lo"], start, L)
-    return CylinderTable(np.bincount(codes, minlength=1 << L), L, start)
-
-
 def project_theta(sampler, k: int, r: int, L: int, n_accept: int, rng,
                   start: int | None = None, shift: int = 0,
                   max_draws: int = 50_000_000) -> tuple[CylinderTable, float]:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -57,6 +60,44 @@ class TestScaling:
     def test_z_mode_nondyadic_scale(self, capsys):
         assert run(["scaling", "--mode", "z", "--sigma", "1111",
                     "--scales", "3 5"]) == 2
+
+
+BAD_EPS = ["0", "-1", "-0.25", "nan", "inf", "0.25 0", ""]
+
+
+def _no_draws(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample drawn before eps was validated")
+    monkeypatch.setattr(cli, "_gather_w", refuse)
+    monkeypatch.setattr(cli, "_gather_omega", refuse)
+
+
+class TestBadEps:
+    @pytest.mark.parametrize("mode", ["d", "z", "filtration"])
+    @pytest.mark.parametrize("eps", BAD_EPS)
+    def test_scaling_rejects(self, monkeypatch, capsys, mode, eps):
+        _no_draws(monkeypatch)
+        assert run(["scaling", "--mode", mode, "--sigma", "1111",
+                    "--scales", "4 8", "--eps", eps]) == 2
+
+    @pytest.mark.parametrize("mode", ["d", "z"])
+    @pytest.mark.parametrize("eps", BAD_EPS + ["0.25 0.5"])
+    def test_entropy_rejects(self, monkeypatch, capsys, mode, eps):
+        _no_draws(monkeypatch)
+        assert run(["entropy", "--mode", mode, "--sigma", "1111",
+                    "--scale", "4", "--eps", eps]) == 2
+
+    def test_scaling_eps_zero_exits_promptly(self):
+        # a child process with a timeout turns a hang into a failure
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "adicop.cli", "scaling", "--eps", "0"],
+            capture_output=True, text=True, env=env, timeout=10)
+        assert proc.returncode == 2
+        assert "eps" in proc.stderr
 
 
 class TestClassify:

@@ -108,6 +108,57 @@ class TestCovering:
         assert all(a >= b for a, b in zip(bits, bits[1:]))
 
 
+def reference_greedy(D, eps):
+    """Plain greedy: recompute every ball's gain with a matmul per ball."""
+    cover = D <= eps / 2 + 1e-12
+    uncovered = np.ones(D.shape[0])
+    balls = 0
+    while uncovered.sum() > entropy._max_uncovered(eps, D.shape[0]):
+        uncovered[cover[int(np.argmax(cover @ uncovered))]] = 0.0
+        balls += 1
+    return max(balls, 1)
+
+
+@st.composite
+def cover_instances(draw, max_n):
+    """Normalized Hamming matrices on few bits (many tied gains), optionally
+    perturbed into asymmetric matrices with a zero diagonal."""
+    n = draw(st.integers(1, max_n))
+    bits = draw(st.integers(1, 10))
+    rng = RNG(draw(st.integers(0, 2 ** 32 - 1)))
+    X = rng.integers(0, 2, (n, bits))
+    D = (X[:, None, :] != X[None, :, :]).mean(axis=2)
+    if draw(st.booleans()):
+        D = D + rng.uniform(-0.1, 0.1, D.shape)
+        np.fill_diagonal(D, 0.0)
+    return D, draw(st.sampled_from([0.1, 0.25, 0.5, 1.0]))
+
+
+class TestGreedyIncremental:
+    @settings(max_examples=150, deadline=None)
+    @given(cover_instances(200))
+    def test_matches_plain_greedy(self, inst):
+        D, eps = inst
+        assert entropy.greedy_cover_count(D, eps) == reference_greedy(D, eps)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cover_instances(12))
+    def test_exact_at_most_greedy(self, inst):
+        D, eps = inst
+        assert entropy.exact_cover_count(D, eps) <= \
+            entropy.greedy_cover_count(D, eps)
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_eps(self, eps):
+        with pytest.raises(ValueError):
+            entropy.greedy_cover_count(np.zeros((5, 5)), eps)
+
+    def test_rejects_points_in_no_ball(self):
+        # a positive diagonal leaves every point outside its own ball
+        with pytest.raises(ValueError):
+            entropy.greedy_cover_count(np.ones((4, 4)), 0.1)
+
+
 class TestFeatureMetric:
     def test_pair_matrix_is_weighted_hamming(self):
         rng = RNG(5)
