@@ -16,6 +16,7 @@ their header.  Exit codes: 0 pass, 1 check failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -35,7 +36,9 @@ N_SHARDS = 4
 SEED_ENV = "ADICOP_SEED"
 
 
+@functools.cache
 def version_string() -> str:
+    """`git describe` of the package checkout, run once per process."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -381,7 +384,7 @@ def classify_sharded(sampler, k_max, L, n_accept, tol, seed, workers):
     accumulated by addition, so aggregation is order-independent."""
     sizes = shard_sizes(n_accept)
     jobs = [(k, s, sizes[s]) for k in range(k_max + 2)
-            for s in range(N_SHARDS)]
+            for s in range(N_SHARDS) if sizes[s]]
 
     def work(k, s, size):
         rng = np.random.default_rng(shard_seed(seed, s) + (k << 32))
@@ -394,20 +397,28 @@ def classify_sharded(sampler, k_max, L, n_accept, tol, seed, workers):
     for k, c, am in results:
         counts[k] += c
         acc_mass[k] += am
-    tables = [measures.CylinderTable(counts[k], L, -L)
-              for k in range(k_max + 2)]
-    ladder = [tables[k].tv(tables[k + 1]) for k in range(k_max + 1)]
-    verdict = f"aperiodic-up-to-{k_max}"
-    for k in range(k_max + 1):
-        if all(step <= tol for step in ladder[k:]):
-            verdict = k
-            break
-    return {"verdict": verdict, "tv_ladder": ladder,
-            "acceptance": [acc_mass[k] / n_accept for k in range(k_max + 2)],
-            "tol": tol, "L": L, "n_accept": n_accept}
+    return measures.theta_verdict(
+        [measures.CylinderTable(counts[k], L, -L) for k in range(k_max + 2)],
+        [acc_mass[k] / n_accept for k in range(k_max + 2)], tol, n_accept)
+
+
+MAX_CYL_LEN = 20  # the cylinder table has 2**cyl_len cells
+MAX_M = 62  # digit values alpha < 2**M are int64 draws
 
 
 def cmd_classify(args, cfg) -> int:
+    if args.n_accept < 1:
+        raise UsageError(f"n-accept must be at least 1, got {args.n_accept}")
+    if args.M > MAX_M:
+        raise UsageError(f"M must be at most {MAX_M}, got {args.M}")
+    if not 0 <= args.kmax < args.M:
+        raise UsageError(f"kmax must lie in [0, M - 1] = [0, {args.M - 1}], "
+                         f"got {args.kmax}")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise UsageError(f"tol must be finite and nonnegative, got {args.tol}")
+    if not 1 <= args.cyl_len <= MAX_CYL_LEN:
+        raise UsageError(f"cyl-len must lie in [1, {MAX_CYL_LEN}], "
+                         f"got {args.cyl_len}")
     sampler = build_sampler(args.spec, args.M)
     report = classify_sharded(sampler, args.kmax, args.cyl_len,
                               args.n_accept, args.tol, args.seed,

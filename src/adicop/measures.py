@@ -9,6 +9,15 @@ Two sampler families:
   covering products eta x m, measures of periodic type k and the aperiodic
   skew products built from a base with an odometer quotient.
 
+A symbolic draw has two phases.  `variates(n, lo, hi, rng)` draws every
+random variate of n rows (uniforms, offsets, odometer values, shifts and
+the digit value alpha) as a dict of per-row arrays;
+`render_rows(v, rows, lo, hi)` builds the windows on [lo, hi] of the
+chosen rows from those variates alone.  `draw` is the two composed over
+all rows.  Since alpha never depends on a window, theta-projection rejects
+on alpha and renders only the rows it keeps, while the generator advances
+exactly as it would for full draws.
+
 Empirical measures are cylinder-frequency tables on length-L windows;
 total variation between tables is the working distance throughout.
 """
@@ -69,6 +78,12 @@ class OmegaSigmaSampler(MSigmaSampler):
 # ---------------------------------------------------------------------------
 # base measures on I^Z
 
+def _rendered(sampler, v: dict, lo: int, hi: int, **extra) -> dict:
+    """A full draw: the variates plus the windows of every row."""
+    return {**v, "y": sampler.render_rows(v, slice(None), lo, hi), "lo": lo,
+            **extra}
+
+
 class BernoulliBase:
     """i.i.d. bits with success probability p; shift invariant, mixing."""
 
@@ -79,9 +94,14 @@ class BernoulliBase:
             raise ValueError("p must be a probability")
         self.p = p
 
+    def variates(self, n: int, lo: int, hi: int, rng) -> dict:
+        return {"u": rng.random(size=(n, hi - lo + 1))}
+
+    def render_rows(self, v: dict, rows, lo: int, hi: int) -> np.ndarray:
+        return (v["u"][rows] < self.p).astype(np.uint8)
+
     def draw(self, n: int, lo: int, hi: int, rng) -> dict:
-        y = (rng.random(size=(n, hi - lo + 1)) < self.p).astype(np.uint8)
-        return {"y": y, "lo": lo}
+        return _rendered(self, self.variates(n, lo, hi, rng), lo, hi)
 
 
 class AtomicBase:
@@ -98,10 +118,15 @@ class AtomicBase:
             *(int(d) for d in np.diff(self.shifts)), len(self.word)) \
             if len(self.shifts) > 1 else len(self.word)
 
+    def variates(self, n: int, lo: int, hi: int, rng) -> dict:
+        return {"off": self.shifts[rng.integers(0, len(self.shifts), size=n)]}
+
+    def render_rows(self, v: dict, rows, lo: int, hi: int) -> np.ndarray:
+        pos = v["off"][rows][:, None] + np.arange(lo, hi + 1)[None, :]
+        return self.word[pos % len(self.word)]
+
     def draw(self, n: int, lo: int, hi: int, rng) -> dict:
-        off = self.shifts[rng.integers(0, len(self.shifts), size=n)]
-        pos = (off[:, None] + np.arange(lo, hi + 1)[None, :]) % len(self.word)
-        return {"y": self.word[pos], "lo": lo}
+        return _rendered(self, self.variates(n, lo, hi, rng), lo, hi)
 
 
 class ToeplitzBase:
@@ -126,9 +151,14 @@ class ToeplitzBase:
         odd_positions = 0xAAAAAAAAAAAAAAA  # bits 1, 3, 5, ...
         return ((lowbit & odd_positions) != 0).astype(np.uint8)
 
+    def variates(self, n: int, lo: int, hi: int, rng) -> dict:
+        return {"val": rng.integers(0, 1 << self.R, size=n, dtype=np.int64)}
+
+    def render_rows(self, v: dict, rows, lo: int, hi: int) -> np.ndarray:
+        return self.render(v["val"][rows], lo, hi)
+
     def draw(self, n: int, lo: int, hi: int, rng) -> dict:
-        val = rng.integers(0, 1 << self.R, size=n, dtype=np.int64)
-        return {"y": self.render(val, lo, hi), "lo": lo, "val": val}
+        return _rendered(self, self.variates(n, lo, hi, rng), lo, hi)
 
 
 class OdometerLevels:
@@ -176,11 +206,17 @@ class ProductSampler:
         self.base = base
         self.M = M
 
+    def variates(self, n: int, lo: int, hi: int, rng) -> dict:
+        v = self.base.variates(n, lo, hi, rng)
+        v["alpha"] = rng.integers(0, 1 << self.M, size=n, dtype=np.int64)
+        return v
+
+    def render_rows(self, v: dict, rows, lo: int, hi: int) -> np.ndarray:
+        return self.base.render_rows(v, rows, lo, hi)
+
     def draw(self, n: int, lo: int, hi: int, rng) -> dict:
-        d = self.base.draw(n, lo, hi, rng)
-        d["alpha"] = rng.integers(0, 1 << self.M, size=n, dtype=np.int64)
-        d["M"] = self.M
-        return d
+        return _rendered(self, self.variates(n, lo, hi, rng), lo, hi,
+                         M=self.M)
 
 
 class PeriodicTypeSampler:
@@ -199,18 +235,26 @@ class PeriodicTypeSampler:
         self.base = base
         self.M = M
 
-    def draw(self, n: int, lo: int, hi: int, rng) -> dict:
+    def variates(self, n: int, lo: int, hi: int, rng) -> dict:
         span = 1 << self.k
         j = rng.integers(0, span, size=n, dtype=np.int64)
-        d = self.base.draw(n, lo, hi + span - 1, rng)
-        cols = j[:, None] + np.arange(hi - lo + 1)[None, :]
-        y = np.take_along_axis(d["y"], cols, axis=1)
-        alpha = j + (rng.integers(0, 1 << (self.M - self.k), size=n,
-                                  dtype=np.int64) << self.k)
-        out = {"y": y, "lo": lo, "alpha": alpha, "M": self.M}
-        if "val" in d:
-            out["val"] = d["val"] + j
-        return out
+        v = self.base.variates(n, lo, hi + span - 1, rng)
+        v["j"] = j
+        v["alpha"] = j + (rng.integers(0, 1 << (self.M - self.k), size=n,
+                                       dtype=np.int64) << self.k)
+        return v
+
+    def render_rows(self, v: dict, rows, lo: int, hi: int) -> np.ndarray:
+        y = self.base.render_rows(v, rows, lo, hi + (1 << self.k) - 1)
+        cols = v["j"][rows][:, None] + np.arange(hi - lo + 1)[None, :]
+        return np.take_along_axis(y, cols, axis=1)
+
+    def draw(self, n: int, lo: int, hi: int, rng) -> dict:
+        d = _rendered(self, self.variates(n, lo, hi, rng), lo, hi,
+                      M=self.M)
+        if "val" in d:  # the odometer value of the shifted window
+            d["val"] = d["val"] + d["j"]
+        return d
 
 
 class AperiodicSampler:
@@ -235,12 +279,18 @@ class AperiodicSampler:
             check_eigen_consistency(base, levels,
                                     rng or np.random.default_rng(0))
 
+    def variates(self, n: int, lo: int, hi: int, rng) -> dict:
+        v = self.base.variates(n, lo, hi, rng)
+        r = self.levels.level(v, self.M)
+        v["alpha"] = (r - self.r_mask) & ((1 << self.M) - 1)
+        return v
+
+    def render_rows(self, v: dict, rows, lo: int, hi: int) -> np.ndarray:
+        return self.base.render_rows(v, rows, lo, hi)
+
     def draw(self, n: int, lo: int, hi: int, rng) -> dict:
-        d = self.base.draw(n, lo, hi, rng)
-        r = self.levels.level(d, self.M)
-        d["alpha"] = (r - self.r_mask) & ((1 << self.M) - 1)
-        d["M"] = self.M
-        return d
+        return _rendered(self, self.variates(n, lo, hi, rng), lo, hi,
+                         M=self.M)
 
 
 def make_aperiodic(base, levels: OdometerLevels, alpha, rng=None) -> AperiodicSampler:
@@ -295,9 +345,17 @@ def project_theta(sampler, k: int, r: int, L: int, n_accept: int, rng,
     """Empirical P_{r,k}: condition the digit value on r modulo 2**k, shift
     the window by `shift`, tabulate length-L words at `start`.
 
-    Conditioning is by rejection (acceptance about 2**-k, returned); draws
-    continue until n_accept samples are kept.
+    Conditioning is by rejection on alpha: each chunk draws the variates of
+    every row, so the generator advances as for full draws, and renders
+    windows only for the kept rows.  Draws continue until n_accept samples
+    are kept; the acceptance ratio (about 2**-k) is returned with the table.
     """
+    if n_accept < 1:
+        raise ValueError(f"n_accept must be at least 1, got {n_accept}")
+    if not 0 <= k <= sampler.M:
+        raise ValueError(f"k must lie in [0, M = {sampler.M}], got {k}")
+    if not 0 <= r < 1 << k:
+        raise ValueError(f"r must lie in [0, 2**{k}), got {r}")
     if start is None:
         start = -L
     lo, hi = start + shift, start + shift + L - 1
@@ -307,19 +365,31 @@ def project_theta(sampler, k: int, r: int, L: int, n_accept: int, rng,
     while kept < n_accept:
         if total > max_draws:
             raise RuntimeError("zero or too few accepted samples")
-        d = sampler.draw(chunk, lo, hi, rng)
-        keep = (d["alpha"] & ((1 << k) - 1)) == r
-        take = min(int(keep.sum()), n_accept - kept)
-        if take < int(keep.sum()):
-            # stopping mid-chunk: count draws up to the last kept sample
-            total += int(np.nonzero(keep)[0][take - 1]) + 1 if take else 0
-        else:
-            total += chunk
-        if take:
-            codes = pack_words(d["y"][keep][:take], lo, lo, L)
+        v = sampler.variates(chunk, lo, hi, rng)
+        hits = np.flatnonzero((v["alpha"] & ((1 << k) - 1)) == r)
+        rows = hits[:n_accept - kept]
+        # stopping mid-chunk: count draws up to the last kept sample
+        total += int(rows[-1]) + 1 if len(rows) < len(hits) else chunk
+        if len(rows):
+            codes = pack_words(sampler.render_rows(v, rows, lo, hi), lo, lo, L)
             counts += np.bincount(codes, minlength=1 << L)
-            kept += take
+            kept += len(rows)
+        del v  # free this chunk's variates before the next chunk is drawn
     return CylinderTable(counts, L, start), kept / total
+
+
+def theta_verdict(tables, acceptance, tol: float, n_accept: int) -> dict:
+    """Verdict of the theta ladder theta_0, ..., theta_{k_max + 1}: the TV
+    distances of successive tables, and the least k with every later step
+    below tol, or aperiodic-up-to-k_max."""
+    k_max = len(tables) - 2
+    ladder = [tables[k].tv(tables[k + 1]) for k in range(k_max + 1)]
+    verdict = next((k for k in range(k_max + 1)
+                    if all(step <= tol for step in ladder[k:])),
+                   f"aperiodic-up-to-{k_max}")
+    return {"verdict": verdict, "tv_ladder": ladder,
+            "acceptance": list(acceptance), "tol": tol, "L": tables[0].L,
+            "n_accept": n_accept}
 
 
 def classify_periodic_type(sampler, k_max: int, L: int, n_accept: int,
@@ -327,24 +397,12 @@ def classify_periodic_type(sampler, k_max: int, L: int, n_accept: int,
     """Smallest k at which the theta ladder stabilizes, or aperiodic-up-to-k_max.
 
     Computes empirical theta_0, ..., theta_{k_max + 1} and their successive
-    total-variation distances; the verdict is the least k with every later
-    step below tol.
+    total-variation distances; see `theta_verdict`.
     """
-    tables = []
-    acceptance = []
-    for k in range(k_max + 2):
-        t, acc = project_theta(sampler, k, 0, L, n_accept, rng, start=start)
-        tables.append(t)
-        acceptance.append(acc)
-    ladder = [tables[k].tv(tables[k + 1]) for k in range(k_max + 1)]
-    verdict = f"aperiodic-up-to-{k_max}"
-    for k in range(k_max + 1):
-        if all(step <= tol for step in ladder[k:]):
-            verdict = k
-            break
-    return {"verdict": verdict, "tv_ladder": ladder,
-            "acceptance": acceptance, "tol": tol, "L": L,
-            "n_accept": n_accept}
+    tables, acceptance = zip(*(
+        project_theta(sampler, k, 0, L, n_accept, rng, start=start)
+        for k in range(k_max + 2)))
+    return theta_verdict(tables, acceptance, tol, n_accept)
 
 
 def export_table_csv(table: CylinderTable, path) -> None:

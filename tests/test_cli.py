@@ -1,11 +1,16 @@
+import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from adicop import cli
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(argv):
@@ -67,9 +72,11 @@ BAD_EPS = ["0", "-1", "-0.25", "nan", "inf", "0.25 0", ""]
 
 def _no_draws(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("sample drawn before eps was validated")
+        raise AssertionError("sample drawn before the input was validated")
     monkeypatch.setattr(cli, "_gather_w", refuse)
     monkeypatch.setattr(cli, "_gather_omega", refuse)
+    monkeypatch.setattr(cli.measures, "project_theta", refuse)
+    monkeypatch.setattr(cli.measures, "check_eigen_consistency", refuse)
 
 
 class TestBadEps:
@@ -100,6 +107,43 @@ class TestBadEps:
         assert "eps" in proc.stderr
 
 
+BAD_CLASSIFY = [  # (flags, name the message must carry)
+    (["--n-accept", "0"], "n-accept"),
+    (["--n-accept", "-3"], "n-accept"),
+    (["--kmax", "9", "--M", "8"], "kmax"),
+    (["--kmax", "8", "--M", "8"], "kmax"),
+    (["--kmax", "-1"], "kmax"),
+    (["--M", "0"], "kmax"),
+    (["--M", "63"], "M must"),
+    (["--tol", "-1"], "tol"),
+    (["--tol", "nan"], "tol"),
+    (["--tol", "inf"], "tol"),
+    (["--cyl-len", "0"], "cyl-len"),
+    (["--cyl-len", "21"], "cyl-len"),
+    (["--cyl-len", "40"], "cyl-len"),
+]
+
+
+class TestBadClassify:
+    @pytest.mark.parametrize("spec", ["product bernoulli 0.5",
+                                      "aperiodic toeplitz alpha=0000"])
+    @pytest.mark.parametrize("flags,name", BAD_CLASSIFY,
+                             ids=[" ".join(f) for f, _ in BAD_CLASSIFY])
+    def test_rejected_before_drawing(self, monkeypatch, capsys, spec, flags,
+                                     name):
+        _no_draws(monkeypatch)
+        assert run(["classify", "--spec", spec, *flags]) == 2
+        assert name in capsys.readouterr().err
+
+    def test_edges_accepted(self, capsys):
+        assert run(["classify", "--kmax", "7", "--M", "8", "--tol", "0",
+                    "--cyl-len", "1", "--n-accept", "1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["tv_ladder"]) == 8
+        assert run(["classify", "--M", "62", "--cyl-len", "20",
+                    "--n-accept", "4", "--kmax", "0"]) == 0
+
+
 class TestClassify:
     def test_product_verdict_0(self, tmp_path):
         out = tmp_path / "c.json"
@@ -122,6 +166,37 @@ class TestClassify:
 
     def test_unknown_spec(self, capsys):
         assert run(["classify", "--spec", "mystery measure"]) == 2
+
+    def test_reproduces_committed_results(self, tmp_path, capsys):
+        # the specs of scripts/classify_zoo.py at seed 0, version line aside
+        path = ROOT / "scripts" / "classify_zoo.py"
+        spec = importlib.util.spec_from_file_location("classify_zoo", path)
+        zoo = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(zoo)
+        version = re.compile(r'\s*"version": .*\n')
+        for name, measure in zoo.SPECS.items():
+            out = tmp_path / f"{name}.json"
+            assert run(["classify", "--spec", measure, "--seed", "0",
+                        "--out", str(out)]) == 0
+            want = ROOT / "results" / f"classify_{name}_seed0.json"
+            assert (version.sub("", out.read_text())
+                    == version.sub("", want.read_text()))
+
+
+def test_version_string_runs_git_once(monkeypatch):
+    calls = []
+    real = subprocess.run
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    cli.version_string.cache_clear()
+    monkeypatch.setattr(cli.subprocess, "run", counting)
+    first = cli.version_string()
+    assert all(cli.version_string() == first for _ in range(3))
+    assert len(calls) == 1
+    cli.version_string.cache_clear()
 
 
 class TestEntropyCmd:

@@ -125,6 +125,77 @@ class TestProjections:
         assert t1.tv(t2) <= 0.03
 
 
+PERIOD8 = [0, 0, 0, 1, 0, 1, 1, 1]
+
+# every sampler/base pair the CLI and the acceptance suite use
+TWO_PHASE = {
+    "product-bernoulli": lambda: measures.ProductSampler(
+        measures.BernoulliBase(0.3), 8),
+    "periodic-atomic": lambda: measures.PeriodicTypeSampler(
+        2, measures.AtomicBase(PERIOD8, [0, 4]), 8),
+    "periodic-bernoulli": lambda: measures.PeriodicTypeSampler(
+        2, measures.BernoulliBase(), 8),
+    "aperiodic-toeplitz": lambda: measures.make_aperiodic(
+        measures.ToeplitzBase(), measures.OdometerLevels(24), [1, 0, 1]),
+}
+
+
+def reference_project_theta(sampler, k, r, L, n_accept, rng, shift=0):
+    """Rejection on full draws, a window rendered for every row."""
+    lo, hi = -L + shift, shift - 1
+    counts = np.zeros(1 << L)
+    kept = total = 0
+    chunk = max(2048, min(1 << 18, n_accept << (k + 1)))
+    while kept < n_accept:
+        d = sampler.draw(chunk, lo, hi, rng)
+        keep = np.flatnonzero((d["alpha"] & ((1 << k) - 1)) == r)
+        take = keep[:n_accept - kept]
+        total += int(take[-1]) + 1 if len(take) < len(keep) else chunk
+        codes = measures.pack_words(d["y"][take], lo, lo, L)
+        counts += np.bincount(codes, minlength=1 << L)
+        kept += len(take)
+    return counts, kept / total
+
+
+class TestTwoPhaseDraw:
+    @pytest.mark.parametrize("name", TWO_PHASE)
+    def test_rendered_rows_equal_draw(self, name):
+        sampler = TWO_PHASE[name]()
+        a, b = RNG(30), RNG(30)
+        v = sampler.variates(700, -3, 5, a)
+        rows = np.flatnonzero(v["alpha"] % 3 == 1)
+        d = sampler.draw(700, -3, 5, b)
+        assert np.array_equal(sampler.render_rows(v, rows, -3, 5),
+                              d["y"][rows])
+        assert np.array_equal(v["alpha"], d["alpha"])
+        # the variates consume exactly the stream of a full draw
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("name", TWO_PHASE)
+    @pytest.mark.parametrize("k,r,shift", [(0, 0, 0), (3, 5, 1), (5, 0, 4)])
+    def test_projection_equals_full_draw_rejection(self, name, k, r, shift):
+        sampler = TWO_PHASE[name]()
+        a, b = RNG(31), RNG(31)
+        t, acc = measures.project_theta(sampler, k, r, 6, 3000, a,
+                                        shift=shift)
+        counts, ref_acc = reference_project_theta(sampler, k, r, 6, 3000, b,
+                                                  shift=shift)
+        assert np.array_equal(t.counts, counts)
+        assert acc == ref_acc
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("k,r,n_accept", [
+        (0, 0, 0), (2, 0, -1), (9, 0, 10), (-1, 0, 10), (2, 4, 10),
+        (2, -1, 10)])
+    def test_projection_rejects_bad_input(self, k, r, n_accept):
+        sampler = measures.ProductSampler(measures.BernoulliBase(), 8)
+        rng = RNG(32)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            measures.project_theta(sampler, k, r, 6, n_accept, rng)
+        assert rng.bit_generator.state == state
+
+
 class TestAperiodic:
     def test_alpha_zero_digits_equal_level(self):
         base = measures.ToeplitzBase()
