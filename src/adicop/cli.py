@@ -10,7 +10,11 @@ the ADICOP_SEED environment variable).  Work is cut into a fixed number of
 shards, shard s drawing from a generator seeded `seed XOR s`; workers only
 set the parallelism and aggregation is order-independent, so outputs are
 byte-identical for any worker count.  Output files echo the full config in
-their header.  Exit codes: 0 pass, 1 check failure, 2 usage error.
+their header.
+
+Exit codes: 0 pass, 1 check failure, 2 usage error (bad input, reported
+before any sampling starts, or an unreadable or unwritable file), 3
+internal error (any other exception, reported on one line).
 """
 
 from __future__ import annotations
@@ -27,10 +31,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import coding, dyadic, filtration, graph, measures
-from .entropy import (DEFAULT_EPS_GRID, EntropyCurve, asymp_compare,
-                      feature_entropy_bits, group_feature_metric,
-                      sigma_target_d, sigma_target_z, z_aligned_metric,
-                      z_feature_metric)
+from .entropy import (EntropyCurve, asymp_compare, check_scales,
+                      scaling_curve, sigma_target_d, sigma_target_z)
 
 N_SHARDS = 4
 SEED_ENV = "ADICOP_SEED"
@@ -67,15 +69,11 @@ def parse_int_list(text: str) -> list[int]:
         raise UsageError(f"expected a list of integers, got {text!r}")
 
 
-def parse_float_list(text: str) -> list[float]:
+def parse_eps_list(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.replace(",", " ").split()]
+        eps_grid = [float(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
         raise UsageError(f"expected a list of numbers, got {text!r}")
-
-
-def parse_eps_list(text: str) -> list[float]:
-    eps_grid = parse_float_list(text)
     if not eps_grid or not all(math.isfinite(e) and e > 0 for e in eps_grid):
         raise UsageError(f"eps must be finite and positive, got {text!r}")
     return eps_grid
@@ -226,9 +224,9 @@ def _check_orbit_sizes():
 
 def cmd_oracle(args, cfg) -> int:
     depth = args.depth
-    if depth > graph.EXHAUSTIVE_DEPTH:
-        raise UsageError(
-            f"exhaustive oracle limited to depth {graph.EXHAUSTIVE_DEPTH}")
+    if not 0 <= depth <= graph.EXHAUSTIVE_DEPTH:
+        raise UsageError(f"depth must lie in [0, {graph.EXHAUSTIVE_DEPTH}], "
+                         f"got {depth}")
     psi_depth = min(depth, 3)
     checks = [
         ("group-laws", _check_group_laws, ()),
@@ -254,85 +252,52 @@ def cmd_oracle(args, cfg) -> int:
 # ---------------------------------------------------------------------------
 # scaling
 
-def _gather_w(sigma, N, samples, seed, workers):
-    sampler = measures.MSigmaSampler(sigma, N)
-    sizes = shard_sizes(samples)
-
+def draw_sharded(sampler, samples: int, seed: int, workers: int) -> dict:
+    """Draw `samples` rows in N_SHARDS shards, shard s from a generator
+    seeded seed XOR s, joined in shard order: configurations w, plus digit
+    values alpha from omega^sigma samplers."""
     def draw(s, size):
-        return sampler.draw_w(size, np.random.default_rng(shard_seed(seed, s)))
+        rng = np.random.default_rng(shard_seed(seed, s))
+        if isinstance(sampler, measures.OmegaSigmaSampler):
+            return sampler.draw(size, rng)
+        return {"w": sampler.draw_w(size, rng)}
 
-    parts = run_shards(draw, list(enumerate(sizes)), workers)
-    return np.vstack(parts)
-
-
-def _gather_omega(sigma, N, M, samples, seed, workers):
-    sampler = measures.OmegaSigmaSampler(sigma, N, M)
-    sizes = shard_sizes(samples)
-
-    def draw(s, size):
-        return sampler.draw(size, np.random.default_rng(shard_seed(seed, s)))
-
-    parts = run_shards(draw, list(enumerate(sizes)), workers)
-    return (np.vstack([p["w"] for p in parts]),
-            np.concatenate([p["alpha"] for p in parts]))
+    parts = run_shards(draw, list(enumerate(shard_sizes(samples))), workers)
+    return {key: np.concatenate([p[key] for p in parts])
+            for key in ("w", "alpha") if key in parts[0]}
 
 
-def _scaling_rows(args, workers):
-    sigma = parse_sigma(args.sigma)
-    scales = parse_int_list(args.scales)
-    eps_grid = parse_eps_list(args.eps)
-    curve = EntropyCurve()
-    if args.mode == "d":
-        levels = scales
-        N = max(levels)
-        w = _gather_w(sigma, N, args.samples, args.seed, workers)
-        for n in levels:
-            fm = group_feature_metric(w, n)
-            for eps in eps_grid:
-                curve.add(n, eps, feature_entropy_bits(fm, eps),
-                          args.samples, args.seed)
-        targets = {eps: sigma_target_d(sigma, levels) for eps in eps_grid}
-    elif args.mode == "z":
-        for t in scales:
-            if t & (t - 1):
-                raise UsageError(f"z-mode scales must be dyadic, got {t}")
+def sharded_curve(args, sigma, scales, eps_grid, k: int = 0,
+                  min_scales: int = 1) -> EntropyCurve:
+    """Check the scales, draw the sample in shards, estimate the curve."""
+    try:
+        check_scales(args.mode, scales, args.samples, dyadic.N_MAX, k,
+                     min_scales)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+    if args.mode == "z":
         M = max(scales).bit_length() - 1
-        w, alpha = _gather_omega(sigma, M, M, args.samples, args.seed, workers)
-        for t in scales:
-            direct = z_feature_metric(w, alpha, t)
-            aligned = z_aligned_metric(w, alpha, t)
-            for eps in eps_grid:
-                bits = max(feature_entropy_bits(direct, eps, block_dim=None),
-                           feature_entropy_bits(aligned, eps))
-                curve.add(t, eps, bits, args.samples, args.seed)
-        targets = {eps: sigma_target_z(sigma, scales) for eps in eps_grid}
-    else:  # filtration
-        levels = scales
-        if min(levels) <= args.k:
-            raise UsageError("filtration levels must exceed the cut level k")
-        n_max = max(levels)
-        sig = dyadic.sigma_extend(sigma, n_max)
-        w = _gather_w(sig, n_max, args.samples, args.seed, workers)
-        for n in levels:
-            sym = filtration.reduce_symbols(w, n, args.k)
-            flags = [bool(sig[args.k + j]) for j in range(n - args.k)]
-            for eps in eps_grid:
-                bits = filtration._split_entropy_bits(sym, flags, eps)
-                curve.add(n, eps, bits, args.samples, args.seed)
-        targets = {eps: sigma_target_d(sigma, levels) for eps in eps_grid}
-    return curve, targets, eps_grid
+        sampler = measures.OmegaSigmaSampler(sigma, M, M)
+    else:
+        sampler = measures.MSigmaSampler(sigma, max(scales))
+    sample = draw_sharded(sampler, args.samples, args.seed, args.workers)
+    return scaling_curve(args.mode, sample, scales, eps_grid, args.samples,
+                         args.seed, sigma, k)
 
 
 def cmd_scaling(args, cfg) -> int:
-    curve, targets, eps_grid = _scaling_rows(args, args.workers)
-    verdicts = {}
-    for eps in eps_grid:
-        cmp = asymp_compare(curve.bits(eps), targets[eps])
-        verdicts[str(eps)] = cmp
+    sigma = parse_sigma(args.sigma)
+    scales = parse_int_list(args.scales)
+    eps_grid = parse_eps_list(args.eps)
+    curve = sharded_curve(args, sigma, scales, eps_grid, args.k, min_scales=2)
+    target = (sigma_target_z if args.mode == "z" else sigma_target_d)(
+        sigma, scales)
+    verdicts = {str(eps): asymp_compare(curve.bits(eps), target)
+                for eps in eps_grid}
     if args.out:
         curve.to_csv(args.out, header_lines=config_header(cfg))
-    payload = {"verdicts": verdicts, "targets": {str(e): targets[e]
-                                                 for e in eps_grid},
+    payload = {"verdicts": verdicts,
+               "targets": {str(eps): target for eps in eps_grid},
                "config": cfg, "version": version_string()}
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0 if all(v["pass"] for v in verdicts.values()) else 1
@@ -345,37 +310,35 @@ PERIOD8_WORD = (0, 0, 0, 1, 0, 1, 1, 1)
 
 
 def build_sampler(spec: str, M: int):
+    """The sampler a measure spec names; a malformed spec raises UsageError."""
     toks = spec.split()
-    if not toks:
-        raise UsageError("empty measure spec")
-    kind = toks[0]
-    if kind == "product":
-        if len(toks) != 3 or toks[1] != "bernoulli":
-            raise UsageError(f"unknown product spec {spec!r}")
-        p = float(toks[2])
-        return measures.ProductSampler(measures.BernoulliBase(p), M)
-    if kind == "periodic":
-        params = dict(t.split("=", 1) for t in toks[1:] if "=" in t)
-        flags = [t for t in toks[1:] if "=" not in t]
-        k = int(params.get("k", 1))
-        period = None
-        for fl in flags:
-            if fl.startswith("period"):
-                period = int(fl[len("period"):])
-        if period is None:
-            period = int(params.get("period", 1 << k))
-        word = [PERIOD8_WORD[i % 8] for i in range(period)]
-        step = math.gcd(1 << k, period)
-        base = measures.AtomicBase(word, range(0, period, step))
-        return measures.PeriodicTypeSampler(k, base, M)
-    if kind == "aperiodic":
-        if len(toks) < 2 or toks[1] != "toeplitz":
-            raise UsageError(f"unknown aperiodic spec {spec!r}")
-        params = dict(t.split("=", 1) for t in toks[2:] if "=" in t)
-        alpha = [int(c) for c in params.get("alpha", "0000")]
-        base = measures.ToeplitzBase()
-        levels = measures.OdometerLevels(base.R)
-        return measures.make_aperiodic(base, levels, alpha)
+    kind = toks[0] if toks else ""
+    try:
+        if kind == "product" and len(toks) == 3 and toks[1] == "bernoulli":
+            p = float(toks[2])
+            return measures.ProductSampler(measures.BernoulliBase(p), M)
+        if kind == "periodic":
+            params = dict(t.split("=", 1) for t in toks[1:] if "=" in t)
+            flags = [t for t in toks[1:] if "=" not in t]
+            k = int(params.get("k", 1))
+            period = None
+            for fl in flags:
+                if fl.startswith("period"):
+                    period = int(fl[len("period"):])
+            if period is None:
+                period = int(params.get("period", 1 << k))
+            word = [PERIOD8_WORD[i % 8] for i in range(period)]
+            step = math.gcd(1 << k, period)
+            base = measures.AtomicBase(word, range(0, period, step))
+            return measures.PeriodicTypeSampler(k, base, M)
+        if kind == "aperiodic" and toks[1:2] == ["toeplitz"]:
+            params = dict(t.split("=", 1) for t in toks[2:] if "=" in t)
+            alpha = [int(c) for c in params.get("alpha", "0000")]
+            base = measures.ToeplitzBase()
+            levels = measures.OdometerLevels(base.R)
+            return measures.make_aperiodic(base, levels, alpha)
+    except (ValueError, ZeroDivisionError) as e:
+        raise UsageError(f"bad measure spec {spec!r}: {e}") from None
     raise UsageError(f"unknown measure spec {spec!r}")
 
 
@@ -411,8 +374,13 @@ def cmd_classify(args, cfg) -> int:
         raise UsageError(f"n-accept must be at least 1, got {args.n_accept}")
     if args.M > MAX_M:
         raise UsageError(f"M must be at most {MAX_M}, got {args.M}")
-    if not 0 <= args.kmax < args.M:
-        raise UsageError(f"kmax must lie in [0, M - 1] = [0, {args.M - 1}], "
+    # the aperiodic sampler resolves the R digits of its Toeplitz base
+    # whatever M is; building it to ask would draw
+    resolution = (measures.ToeplitzBase().R
+                  if args.spec.split()[:1] == ["aperiodic"] else args.M)
+    if not 0 <= args.kmax < resolution:
+        raise UsageError(f"kmax must lie in [0, {resolution - 1}], below the "
+                         f"{resolution} digits the spec resolves; "
                          f"got {args.kmax}")
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise UsageError(f"tol must be finite and nonnegative, got {args.tol}")
@@ -434,29 +402,15 @@ def cmd_classify(args, cfg) -> int:
 # entropy (ad-hoc single estimate)
 
 def cmd_entropy(args, cfg) -> int:
+    if args.mode not in ("d", "z"):
+        raise UsageError(f"unknown entropy mode {args.mode!r}")
     sigma = parse_sigma(args.sigma)
     eps_grid = parse_eps_list(args.eps)
     if len(eps_grid) != 1:
         raise UsageError(f"entropy takes a single eps, got {args.eps!r}")
-    eps = eps_grid[0]
-    if args.mode == "d":
-        w = _gather_w(sigma, args.scale, args.samples, args.seed, args.workers)
-        bits = feature_entropy_bits(group_feature_metric(w, args.scale), eps)
-    elif args.mode == "z":
-        t = args.scale
-        if t & (t - 1):
-            raise UsageError(f"z-mode scale must be dyadic, got {t}")
-        M = t.bit_length() - 1
-        w, alpha = _gather_omega(sigma, M, M, args.samples, args.seed,
-                                 args.workers)
-        bits = max(
-            feature_entropy_bits(z_feature_metric(w, alpha, t), eps,
-                                 block_dim=None),
-            feature_entropy_bits(z_aligned_metric(w, alpha, t), eps))
-    else:
-        raise UsageError(f"unknown entropy mode {args.mode!r}")
-    emit_json({"bits": bits, "eps": eps, "scale": args.scale,
-               "mode": args.mode, "config": cfg,
+    curve = sharded_curve(args, sigma, [args.scale], eps_grid)
+    emit_json({"bits": curve.bits()[0], "eps": eps_grid[0],
+               "scale": args.scale, "mode": args.mode, "config": cfg,
                "version": version_string()}, args.out)
     return 0
 
@@ -527,12 +481,15 @@ def resolve_args(args) -> dict:
     returns the effective config for output headers."""
     file_cfg = load_config(args.config) if args.config else {}
     layers = dict(DEFAULTS.get(args.command, {}))
-    layers["seed"] = int(os.environ.get(SEED_ENV, "0"))
     layers["workers"] = 1
-    for key, val in file_cfg.items():
+    env = [("seed", os.environ.get(SEED_ENV, "0"))]
+    for key, val in env + list(file_cfg.items()):
         if key not in vars(args):
             raise UsageError(f"unknown config key {key!r}")
-        layers[key] = COERCE.get(key, str)(val)
+        try:
+            layers[key] = COERCE.get(key, str)(val)
+        except ValueError:
+            raise UsageError(f"{key} must be a number, got {val!r}") from None
     effective = {}
     for key, val in vars(args).items():
         if key in ("command", "config"):
@@ -544,6 +501,8 @@ def resolve_args(args) -> dict:
         if key not in ("out", "workers"):
             effective[key] = val
     effective["command"] = args.command
+    if args.seed < 0:
+        raise UsageError(f"seed must be nonnegative, got {args.seed}")
     return effective
 
 
@@ -557,12 +516,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         cfg = resolve_args(args)
         return COMMANDS[args.command](args, cfg)
-    except UsageError as e:
+    except (UsageError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except Exception as e:  # a crash, kept apart from check failures
+        print(f"internal error: {e!r}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import graph
-from .dyadic import ResolutionError, check_mask, in_group, tau
+from .dyadic import ResolutionError, alpha_value, check_mask, in_group, tau
 
 
 class CodedPoint:
@@ -79,14 +79,10 @@ class ZWindow:
         return f"ZWindow({self.lo}, {self.hi}, {''.join(map(str, self.bits))})"
 
 
-def alpha_mask(alpha) -> int:
-    return sum(int(a) << i for i, a in enumerate(alpha))
-
-
 def psi(x: graph.PathPrefix) -> CodedPoint:
     """(F, A): A is the edge sequence, F reads the top label through the alpha shift."""
     n = x.depth
-    a = alpha_mask(x.alpha)
+    a = alpha_value(x.alpha)
     idx = np.arange(1 << n) ^ a
     return CodedPoint(x.top.label[idx], x.alpha)
 
@@ -94,7 +90,7 @@ def psi(x: graph.PathPrefix) -> CodedPoint:
 def psi_inv(p: CodedPoint) -> graph.PathPrefix:
     if p.N != p.M:
         raise ResolutionError("psi_inv needs matching resolutions N = M")
-    a = alpha_mask(p.alpha)
+    a = alpha_value(p.alpha)
     idx = np.arange(1 << p.N) ^ a
     return graph.PathPrefix(graph.Vertex(p.N, p.w[idx]), p.alpha)
 
@@ -110,7 +106,7 @@ def diag(g: int, p: CodedPoint) -> CodedPoint:
 def odometer(alpha) -> tuple[int, ...]:
     """Add one with carry: the lowest 0 flips to 1, all digits below reset."""
     alpha = tuple(int(a) for a in alpha)
-    v = alpha_mask(alpha)
+    v = alpha_value(alpha)
     if v == (1 << len(alpha)) - 1:
         raise ResolutionError("odometer undefined at this resolution (all-ones digits)")
     return graph.alpha_digits(v + 1, len(alpha))
@@ -118,7 +114,7 @@ def odometer(alpha) -> tuple[int, ...]:
 
 def odometer_inv(alpha) -> tuple[int, ...]:
     alpha = tuple(int(a) for a in alpha)
-    v = alpha_mask(alpha)
+    v = alpha_value(alpha)
     if v == 0:
         raise ResolutionError("inverse odometer undefined at this resolution (all-zeros digits)")
     return graph.alpha_digits(v - 1, len(alpha))
@@ -127,7 +123,7 @@ def odometer_inv(alpha) -> tuple[int, ...]:
 def adic_on_coded(p: CodedPoint) -> CodedPoint:
     """Coded form of the adic successor: translate w by the carry, advance alpha."""
     nxt = odometer(p.alpha)
-    g = alpha_mask(nxt) ^ alpha_mask(p.alpha)
+    g = alpha_value(nxt) ^ alpha_value(p.alpha)
     if not in_group(g, p.N):
         raise ResolutionError("carry exceeds the w resolution")
     idx = np.arange(1 << p.N) ^ g
@@ -140,7 +136,7 @@ def lambda_alpha(alpha, k: int) -> int:
     With a = sum alpha_{i+1} 2^i, the representable integers are exactly
     {-a, ..., -a + 2**M - 1} and the element is (k + a) XOR a.
     """
-    a = alpha_mask(alpha)
+    a = alpha_value(alpha)
     u = k + a
     if not 0 <= u < (1 << len(alpha)):
         raise ResolutionError(
@@ -152,7 +148,7 @@ def lambda_segment(alpha, n: int) -> range:
     """Integer preimage of D_n: the segment {-a_n, ..., -a_n + 2**n - 1}."""
     if n > len(alpha):
         raise ResolutionError(f"n = {n} exceeds the digit resolution {len(alpha)}")
-    a_n = alpha_mask(alpha[:n])
+    a_n = alpha_value(alpha[:n])
     return range(-a_n, -a_n + (1 << n))
 
 

@@ -42,14 +42,18 @@ def tau(mask: int, length: int | None = None) -> tuple[int, ...]:
     return tuple((mask >> i) & 1 for i in range(length))
 
 
+def alpha_value(digits) -> int:
+    """The mask packing a digit sequence (digit i sets bit i-1), unchecked."""
+    return sum(int(d) << i for i, d in enumerate(digits))
+
+
 def tau_inv(digits) -> int:
     """Inverse of tau on finite digit sequences."""
-    mask = 0
-    for i, d in enumerate(digits):
+    digits = tuple(digits)
+    for d in digits:
         if d not in (0, 1):
             raise ValueError(f"digit {d} not a bit")
-        mask |= d << i
-    return check_mask(mask)
+    return check_mask(alpha_value(digits))
 
 
 def sigma_extend(sigma, n: int) -> tuple[int, ...]:

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coding import CodedPoint, adic_on_coded, diag
+from .dyadic import sigma_extend
 
 
 # ---------------------------------------------------------------------------
@@ -304,21 +305,6 @@ def group_feature_metric(w: np.ndarray, n: int) -> FeatureMetric:
     return FeatureMetric(w[:, :d], np.full(d, 1.0 / d))
 
 
-def scaling_curve_d(sampler, levels, eps_grid=DEFAULT_EPS_GRID,
-                    n_samples: int = 2000, seed: int = 0) -> EntropyCurve:
-    """Entropy curve of the group-averaged cut metric at equipment levels n."""
-    rng = np.random.default_rng(seed)
-    w = sampler.draw_w(n_samples, rng)
-    curve = EntropyCurve()
-    for n in levels:
-        if (1 << n) > w.shape[1]:
-            raise ValueError(f"equipment level {n} beyond sampler resolution")
-        fm = group_feature_metric(w, n)
-        for eps in eps_grid:
-            curve.add(n, eps, feature_entropy_bits(fm, eps), n_samples, seed)
-    return curve
-
-
 def z_feature_metric(w: np.ndarray, alpha: np.ndarray, t: int) -> FeatureMetric:
     """The cut on w(0) averaged over t adic steps.
 
@@ -328,7 +314,6 @@ def z_feature_metric(w: np.ndarray, alpha: np.ndarray, t: int) -> FeatureMetric:
     wrap-around affects a t/2**M fraction of samples.
     """
     n, size = w.shape
-    M = size.bit_length() - 1
     j = np.arange(t, dtype=np.int64)
     masks = (alpha[:, None] ^ ((alpha[:, None] + j[None, :]) % size))
     feats = np.take_along_axis(w, masks, axis=1)
@@ -354,36 +339,90 @@ def z_aligned_metric(w: np.ndarray, alpha: np.ndarray, t: int) -> FeatureMetric:
     return FeatureMetric(feats, np.full(t, 1.0 / t))
 
 
-def scaling_curve_z(sampler, scales, eps_grid=DEFAULT_EPS_GRID,
-                    n_samples: int = 2000, seed: int = 0) -> EntropyCurve:
-    """Entropy curve of the adic-averaged cut metric at dyadic times t.
+def check_scales(mode: str, scales, samples: int, resolution: int,
+                 k: int = 0, min_scales: int = 1) -> None:
+    """Reject a curve request before anything is drawn (ValueError).
 
-    Two covering estimates are combined by max: the plain greedy estimate of
-    the averaged metric itself (sharp at small scales, saturating near
-    log2(sample size)) and the block-additive estimate of its phase-aligned
-    form (tracks the effective dimension at large scales).
+    Scales are equipment levels n (mode "d"), filtration levels n > k >= 0
+    (mode "filtration") or dyadic times t = 2**n (mode "z"); every n must
+    lie within the resolution.
     """
-    rng = np.random.default_rng(seed)
-    d = sampler.draw(n_samples, rng)
-    w, alpha = d["w"], d["alpha"]
+    if mode not in ("d", "z", "filtration"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if len(scales) < min_scales:
+        raise ValueError(f"need at least {min_scales} scales, got {len(scales)}")
+    if mode == "filtration" and k < 0:
+        raise ValueError(f"k must be at least 0, got {k}")
+    lowest = k + 1 if mode == "filtration" else 0
+    for s in scales:
+        n = s.bit_length() - 1 if mode == "z" else s
+        if mode == "z" and not (s >= 1 and s == 1 << n and n <= resolution):
+            raise ValueError(f"scale {s} must be a dyadic time 2**n with "
+                             f"0 <= n <= {resolution}")
+        if not lowest <= n <= resolution:
+            raise ValueError(f"scale {s} must lie in [{lowest}, {resolution}]"
+                             + (f" (above k = {k})" if lowest else ""))
+
+
+def scaling_curve(mode: str, sample: dict, scales, eps_grid, samples: int,
+                  seed: int, sigma=(), k: int = 0) -> EntropyCurve:
+    """Entropy curve of a drawn sample, one row per (scale, eps), scale
+    outer.  The sample holds configurations w, plus digit values alpha in
+    mode "z"; its scales have passed `check_scales`.
+
+    Mode "d" averages the cut on w(0) over D_n.  Mode "z" averages it over
+    t adic steps and takes the max of two covering estimates: the plain
+    greedy estimate of the averaged metric itself (sharp at small scales,
+    saturating near log2(sample size)) and the block-additive estimate of
+    its phase-aligned form (tracks the effective dimension at large
+    scales).  Mode "filtration" estimates K_n[rho_k] on the reduced symbol
+    trees: levels with sigma_j = 0 make the two halves of the tree equal
+    and pass through the iteration exactly; levels with sigma_j = 1 are
+    split block-additively.
+    """
+    from .filtration import _split_entropy_bits, reduce_symbols
+    w = sample["w"]
     curve = EntropyCurve()
-    for t in scales:
-        if t & (t - 1) or t > w.shape[1]:
-            raise ValueError(f"scale {t} must be a dyadic time within resolution")
-        direct = z_feature_metric(w, alpha, t)
-        aligned = z_aligned_metric(w, alpha, t)
-        for eps in eps_grid:
-            bits = max(feature_entropy_bits(direct, eps, block_dim=None),
-                       feature_entropy_bits(aligned, eps))
-            curve.add(t, eps, bits, n_samples, seed)
+    for s in scales:
+        if mode == "d":
+            fm = group_feature_metric(w, s)
+            bits = [feature_entropy_bits(fm, eps) for eps in eps_grid]
+        elif mode == "z":
+            direct = z_feature_metric(w, sample["alpha"], s)
+            aligned = z_aligned_metric(w, sample["alpha"], s)
+            bits = [max(feature_entropy_bits(direct, eps, block_dim=None),
+                        feature_entropy_bits(aligned, eps))
+                    for eps in eps_grid]
+        else:
+            sym = reduce_symbols(w, s, k)
+            flags = [bool(f) for f in sigma_extend(sigma, s)[k:]]
+            bits = [_split_entropy_bits(sym, flags, eps) for eps in eps_grid]
+        for eps, b in zip(eps_grid, bits):
+            curve.add(s, eps, b, samples, seed)
     return curve
 
 
+def scaling_curve_d(sampler, levels, eps_grid=DEFAULT_EPS_GRID,
+                    n_samples: int = 2000, seed: int = 0) -> EntropyCurve:
+    """Entropy curve of the group-averaged cut metric at equipment levels n."""
+    check_scales("d", levels, n_samples, sampler.N)
+    w = sampler.draw_w(n_samples, np.random.default_rng(seed))
+    return scaling_curve("d", {"w": w}, levels, eps_grid, n_samples, seed)
+
+
+def scaling_curve_z(sampler, scales, eps_grid=DEFAULT_EPS_GRID,
+                    n_samples: int = 2000, seed: int = 0) -> EntropyCurve:
+    """Entropy curve of the adic-averaged cut metric at dyadic times t."""
+    check_scales("z", scales, n_samples, sampler.N)
+    sample = sampler.draw(n_samples, np.random.default_rng(seed))
+    return scaling_curve("z", sample, scales, eps_grid, n_samples, seed)
+
+
 def sigma_target_d(sigma, levels):
-    from .dyadic import sigma_extend
     return [1 << sum(sigma_extend(sigma, n)) for n in levels]
 
 
 def sigma_target_z(sigma, scales):
-    from .dyadic import sigma_extend
     return [1 << sum(sigma_extend(sigma, t.bit_length() - 1)) for t in scales]

@@ -17,7 +17,10 @@ from functools import lru_cache
 import numpy as np
 
 from .coding import CodedPoint, diag
-from .entropy import Semimetric, greedy_cover_bits, _max_uncovered
+from .dyadic import N_MAX
+from .entropy import (CutRhoK, EntropyCurve, Semimetric, _max_uncovered,
+                      check_scales, greedy_cover_bits, scaling_curve)
+from .measures import MSigmaSampler
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +292,6 @@ def lemma17_entropy_estimate(m: int, r: int, q: int, eps: float,
 # ---------------------------------------------------------------------------
 # filtration scaling (representatives, reduction, curve)
 
-def phi_representative(w: np.ndarray, n: int) -> np.ndarray:
-    """The unique orbit member with vanishing first n digits: since the
-    group flips digits and translates w jointly, the class of (w, alpha) is
-    represented by (w translated by the digit mask, 0), i.e. by w itself
-    when drawn with alpha = 0.  Input is the configuration row; output its
-    restriction to D_n."""
-    return w[: 1 << n]
-
-
 def reduce_symbols(w_rows: np.ndarray, n: int, k: int) -> np.ndarray:
     """Leaf symbols of the reduced tree: position indexed by the span of
     g_k..g_{n-1}, symbol = the restriction of w to the corresponding coset
@@ -308,25 +302,12 @@ def reduce_symbols(w_rows: np.ndarray, n: int, k: int) -> np.ndarray:
     return blocks @ (1 << np.arange(1 << k, dtype=np.int64))
 
 
-class CutRhoKOnCoded(Semimetric):
-    """rho_k on coded points (configurations on D_N with digits)."""
-
-    def __init__(self, k: int):
-        self.k = k
-
-    def dist(self, x: CodedPoint, y: CodedPoint) -> float:
-        mkk = 1 << self.k
-        same = (np.array_equal(x.w[:mkk], y.w[:mkk])
-                and x.alpha[:self.k] == y.alpha[:self.k])
-        return 0.0 if same else 1.0
-
-
 def kantorovich_rho_k_orbit(w1: np.ndarray, w2: np.ndarray, n: int, k: int) -> float:
     """Generic K_n[rho_k] between the orbit trees of two representatives
     (full depth-n trees of coded points)."""
     x = CodedPoint(w1[: 1 << n], (0,) * n)
     y = CodedPoint(w2[: 1 << n], (0,) * n)
-    rho = CutRhoKOnCoded(k)
+    rho = CutRhoK(k)
     return kantorovich(rho, OrbitTree.of_point(x, n), OrbitTree.of_point(y, n))
 
 
@@ -339,32 +320,15 @@ def kantorovich_rho_k_reduced(w1: np.ndarray, w2: np.ndarray, n: int, k: int) ->
 
 
 def filtration_scaling(sigma, k: int, levels, eps: float = 0.25,
-                       n_samples: int = 256, seed: int = 0):
+                       n_samples: int = 256, seed: int = 0) -> EntropyCurve:
     """Entropy curve of K_n[rho_k] across the representatives of the
-    filtration elements, under m^sigma.
-
-    Levels with sigma_j = 0 make the two halves of the reduced tree equal
-    and pass through the iteration exactly; levels with sigma_j = 1 are
-    split block-additively.
-    """
-    from .entropy import EntropyCurve
-    from .dyadic import sigma_extend
-    from .measures import MSigmaSampler
-
+    filtration elements, under m^sigma (see `scaling_curve`)."""
     levels = list(levels)
-    n_max = max(levels)
-    if min(levels) <= k:
-        raise ValueError("levels must exceed the cut level k")
-    sig = sigma_extend(sigma, n_max)
-    rng = np.random.default_rng(seed)
-    w = MSigmaSampler(sig, n_max).draw_w(n_samples, rng)
-    curve = EntropyCurve()
-    for n in levels:
-        sym = reduce_symbols(w, n, k)
-        flags = [bool(sig[k + j]) for j in range(n - k)]
-        bits = _split_entropy_bits(sym, flags, eps)
-        curve.add(n, eps, bits, n_samples, seed)
-    return curve
+    check_scales("filtration", levels, n_samples, N_MAX, k)
+    sampler = MSigmaSampler(sigma, max(levels))
+    w = sampler.draw_w(n_samples, np.random.default_rng(seed))
+    return scaling_curve("filtration", {"w": w}, levels, (eps,), n_samples,
+                         seed, sigma, k)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dyadic import ResolutionError, in_group
+from .dyadic import ResolutionError, alpha_value, in_group
 
 EXHAUSTIVE_DEPTH = 4
 
@@ -135,10 +135,6 @@ def paths_into(v: Vertex, exhaustive: bool = False) -> int:
             count += 1
         return count
     return 1 << v.floor
-
-
-def alpha_value(alpha) -> int:
-    return sum(int(a) << i for i, a in enumerate(alpha))
 
 
 def alpha_digits(value: int, length: int) -> tuple[int, ...]:

@@ -17,6 +17,14 @@ def run(argv):
     return cli.main(argv)
 
 
+def _script(name):
+    path = ROOT / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestOracle:
     def test_default_passes(self, tmp_path, capsys):
         out = tmp_path / "oracle.json"
@@ -27,6 +35,16 @@ class TestOracle:
 
     def test_depth_limit_refused(self, capsys):
         assert run(["oracle", "--depth", "9"]) == 2
+
+    @pytest.mark.parametrize("depth", ["-1", "5"])
+    def test_depth_rejected_before_any_check(self, monkeypatch, capsys,
+                                             depth):
+        _no_draws(monkeypatch)
+        assert run(["oracle", "--depth", depth]) == 2
+        assert "depth" in capsys.readouterr().err
+
+    def test_depth_zero_runs(self, capsys):
+        assert run(["oracle", "--depth", "0"]) == 0
 
 
 class TestScaling:
@@ -73,8 +91,10 @@ BAD_EPS = ["0", "-1", "-0.25", "nan", "inf", "0.25 0", ""]
 def _no_draws(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sample drawn before the input was validated")
-    monkeypatch.setattr(cli, "_gather_w", refuse)
-    monkeypatch.setattr(cli, "_gather_omega", refuse)
+    monkeypatch.setattr(cli, "run_shards", refuse)
+    monkeypatch.setattr(cli, "draw_sharded", refuse)
+    monkeypatch.setattr(cli.measures, "MSigmaSampler", refuse)
+    monkeypatch.setattr(cli.measures, "OmegaSigmaSampler", refuse)
     monkeypatch.setattr(cli.measures, "project_theta", refuse)
     monkeypatch.setattr(cli.measures, "check_eigen_consistency", refuse)
 
@@ -107,33 +127,88 @@ class TestBadEps:
         assert "eps" in proc.stderr
 
 
-BAD_CLASSIFY = [  # (flags, name the message must carry)
-    (["--n-accept", "0"], "n-accept"),
-    (["--n-accept", "-3"], "n-accept"),
-    (["--kmax", "9", "--M", "8"], "kmax"),
-    (["--kmax", "8", "--M", "8"], "kmax"),
-    (["--kmax", "-1"], "kmax"),
-    (["--M", "0"], "kmax"),
-    (["--M", "63"], "M must"),
-    (["--tol", "-1"], "tol"),
-    (["--tol", "nan"], "tol"),
-    (["--tol", "inf"], "tol"),
-    (["--cyl-len", "0"], "cyl-len"),
-    (["--cyl-len", "21"], "cyl-len"),
-    (["--cyl-len", "40"], "cyl-len"),
+BAD_SCALES = [  # (command, flags, name the message must carry)
+    ("scaling", ["--samples", "0"], "samples"),
+    ("scaling", ["--samples", "-5"], "samples"),
+    ("entropy", ["--samples", "0"], "samples"),
+    ("scaling", ["--scales", "4"], "scales"),
+    ("scaling", ["--scales", ""], "scales"),
+    ("scaling", ["--scales", "-1 3"], "scale -1"),
+    ("scaling", ["--scales", "3 21"], "scale 21"),
+    ("scaling", ["--mode", "filtration", "--scales", "3 21"], "scale 21"),
+    ("scaling", ["--mode", "filtration", "--scales", "1 3"], "scale 1"),
+    ("scaling", ["--mode", "filtration", "--k", "-1"], "k must"),
+    ("scaling", ["--mode", "z", "--scales", "4 2097152"], "scale 2097152"),
+    ("scaling", ["--mode", "z", "--scales", "0 4"], "scale 0"),
+    ("entropy", ["--scale", "-1"], "scale -1"),
+    ("entropy", ["--scale", "21"], "scale 21"),
+    ("entropy", ["--mode", "z", "--scale", "0"], "scale 0"),
+    ("entropy", ["--mode", "z", "--scale", "-4"], "scale -4"),
+    ("entropy", ["--mode", "z", "--scale", "2097152"], "scale 2097152"),
 ]
 
 
+@pytest.mark.parametrize("command,flags,name", BAD_SCALES,
+                         ids=[f"{c} {' '.join(f)}" for c, f, _ in BAD_SCALES])
+def test_bad_scales_rejected_before_drawing(monkeypatch, capsys, command,
+                                            flags, name):
+    _no_draws(monkeypatch)
+    assert run([command, *flags]) == 2
+    assert name in capsys.readouterr().err
+
+
+PRODUCT, APERIODIC = "product bernoulli 0.5", "aperiodic toeplitz alpha=0000"
+BAD_CLASSIFY = [  # (specs, flags, name the message must carry)
+    ((PRODUCT, APERIODIC), ["--n-accept", "0"], "n-accept"),
+    ((PRODUCT, APERIODIC), ["--n-accept", "-3"], "n-accept"),
+    # kmax lies below the digit resolution: --M for product and periodic
+    # specs, the 24 Toeplitz digits for the aperiodic one
+    ((PRODUCT,), ["--kmax", "9", "--M", "8"], "kmax"),
+    ((PRODUCT,), ["--kmax", "8", "--M", "8"], "kmax"),
+    ((APERIODIC,), ["--kmax", "24"], "kmax"),
+    ((APERIODIC,), ["--kmax", "30", "--M", "40"], "kmax"),
+    ((PRODUCT, APERIODIC), ["--kmax", "-1"], "kmax"),
+    ((PRODUCT,), ["--M", "0"], "kmax"),
+    ((PRODUCT, APERIODIC), ["--M", "63"], "M must"),
+    ((PRODUCT, APERIODIC), ["--tol", "-1"], "tol"),
+    ((PRODUCT, APERIODIC), ["--tol", "nan"], "tol"),
+    ((PRODUCT, APERIODIC), ["--tol", "inf"], "tol"),
+    ((PRODUCT, APERIODIC), ["--cyl-len", "0"], "cyl-len"),
+    ((PRODUCT, APERIODIC), ["--cyl-len", "21"], "cyl-len"),
+    ((PRODUCT, APERIODIC), ["--cyl-len", "40"], "cyl-len"),
+]
+CLASSIFY_CASES = [(spec, flags, name) for specs, flags, name in BAD_CLASSIFY
+                  for spec in specs]
+
+
 class TestBadClassify:
-    @pytest.mark.parametrize("spec", ["product bernoulli 0.5",
-                                      "aperiodic toeplitz alpha=0000"])
-    @pytest.mark.parametrize("flags,name", BAD_CLASSIFY,
-                             ids=[" ".join(f) for f, _ in BAD_CLASSIFY])
+    @pytest.mark.parametrize(
+        "spec,flags,name", CLASSIFY_CASES,
+        ids=[f"{' '.join(flags)}-{spec}" for spec, flags, _ in CLASSIFY_CASES])
     def test_rejected_before_drawing(self, monkeypatch, capsys, spec, flags,
                                      name):
         _no_draws(monkeypatch)
         assert run(["classify", "--spec", spec, *flags]) == 2
         assert name in capsys.readouterr().err
+
+    def test_aperiodic_kmax_bounded_by_its_resolution(self, capsys):
+        # the aperiodic sampler resolves 24 digits whatever --M says
+        assert run(["classify", "--spec", APERIODIC, "--kmax", "9",
+                    "--n-accept", "4"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["tv_ladder"]) == 10
+        assert report["config"]["M"] == 8
+
+    @pytest.mark.parametrize("spec,flags", [
+        ("product bernoulli abc", []), ("product bernoulli 2", []),
+        ("periodic k=x", []), ("periodic k=-1", []),
+        ("periodic period0", []), ("periodic k=3", ["--M", "2", "--kmax", "0"]),
+        ("aperiodic toeplitz alpha=0x1", []), ("aperiodic", []),
+        ("product", [])])
+    def test_malformed_spec(self, monkeypatch, capsys, spec, flags):
+        _no_draws(monkeypatch)
+        assert run(["classify", "--spec", spec, *flags]) == 2
+        assert "spec" in capsys.readouterr().err
 
     def test_edges_accepted(self, capsys):
         assert run(["classify", "--kmax", "7", "--M", "8", "--tol", "0",
@@ -169,10 +244,7 @@ class TestClassify:
 
     def test_reproduces_committed_results(self, tmp_path, capsys):
         # the specs of scripts/classify_zoo.py at seed 0, version line aside
-        path = ROOT / "scripts" / "classify_zoo.py"
-        spec = importlib.util.spec_from_file_location("classify_zoo", path)
-        zoo = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(zoo)
+        zoo = _script("classify_zoo")
         version = re.compile(r'\s*"version": .*\n')
         for name, measure in zoo.SPECS.items():
             out = tmp_path / f"{name}.json"
@@ -181,6 +253,69 @@ class TestClassify:
             want = ROOT / "results" / f"classify_{name}_seed0.json"
             assert (version.sub("", out.read_text())
                     == version.sub("", want.read_text()))
+
+
+@pytest.mark.parametrize("mode", ["d", "z", "filtration"])
+def test_reproduces_committed_scaling(tmp_path, capsys, mode):
+    # one regime of scripts/scaling_sweep.py at seed 0, version line aside
+    sweep = _script("scaling_sweep")
+    sigma = sweep.REGIMES["alternating"]
+    if mode == "filtration":
+        sigma += sigma[0]
+    out = tmp_path / "curve.csv"
+    argv = ["scaling", "--mode", mode, "--sigma", sigma, "--eps", "0.25",
+            "--seed", "0", "--out", str(out)]
+    for key, val in dict(sweep.RUNS)[mode].items():
+        argv += [f"--{key}", val]
+    assert run(argv) == 0
+    want = ROOT / "results" / f"scaling_{mode}_alternating.csv"
+    version = re.compile(r"# version = .*\n")
+    assert version.sub("", out.read_text()) == version.sub("", want.read_text())
+
+
+class TestExitCodes:
+    def test_internal_error_is_3_without_traceback(self, monkeypatch, capsys):
+        def crash(*args, **kwargs):
+            raise KeyError("boom")
+        monkeypatch.setattr(cli, "scaling_curve", crash)
+        assert run(["entropy", "--scale", "3", "--samples", "50"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error:") and "boom" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_bad_config_value_is_usage(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("samples = many\n")
+        assert run(["scaling", "--config", str(cfg)]) == 2
+        assert "samples" in capsys.readouterr().err
+
+    def test_bad_seed_is_usage(self, monkeypatch, capsys):
+        _no_draws(monkeypatch)
+        assert run(["entropy", "--seed", "-1"]) == 2
+        monkeypatch.setenv(cli.SEED_ENV, "x")
+        assert run(["entropy"]) == 2
+        assert "seed" in capsys.readouterr().err
+
+
+def _csv_rows(path):
+    lines = [ln for ln in path.read_text().splitlines()
+             if not ln.startswith("#")]
+    return [ln.split(",") for ln in lines[1:]]
+
+
+@pytest.mark.parametrize("mode,scale,scales", [("d", "5", "4 5"),
+                                               ("z", "8", "4 8")])
+def test_entropy_is_one_row_of_scaling(tmp_path, capsys, mode, scale, scales):
+    common = ["--mode", mode, "--sigma", "1011", "--eps", "0.25",
+              "--samples", "300", "--seed", "7"]
+    out = tmp_path / "curve.csv"
+    assert run(["scaling", *common, "--scales", scales,
+                "--out", str(out)]) in (0, 1)
+    capsys.readouterr()
+    assert run(["entropy", *common, "--scale", scale]) == 0
+    bits = json.loads(capsys.readouterr().out)["bits"]
+    row = next(r for r in _csv_rows(out) if r[0] == scale)
+    assert row[1:] == ["0.25", f"{bits:.6f}", "300", "7"]
 
 
 def test_version_string_runs_git_once(monkeypatch):

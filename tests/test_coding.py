@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adicop import coding, graph
+from adicop import coding, dyadic, graph
 from adicop.dyadic import ResolutionError, tau
 
 
@@ -68,7 +68,7 @@ class TestOdometer:
         alpha = (0, 0, 0, 0)
         for v in range(1, 16):
             alpha = coding.odometer(alpha)
-            assert coding.alpha_mask(alpha) == v
+            assert dyadic.alpha_value(alpha) == v
 
     def test_inverse(self):
         alpha = (1, 0, 1, 0)

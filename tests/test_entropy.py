@@ -260,3 +260,37 @@ class TestScalingSmall:
         curve = entropy.scaling_curve_d(sampler, [4], n_samples=400, seed=1)
         bits = [curve.bits(e)[0] for e in entropy.DEFAULT_EPS_GRID]
         assert all(a <= b + 1e-9 for a, b in zip(bits, bits[1:]))
+
+
+class TestCheckScales:
+    @pytest.mark.parametrize("mode,scales,k", [
+        ("d", [0, 20], 0), ("filtration", [1, 20], 0),
+        ("filtration", [3, 4], 2), ("z", [1, 2 ** 20], 0)])
+    def test_edges_accepted(self, mode, scales, k):
+        entropy.check_scales(mode, scales, 1, 20, k, min_scales=2)
+
+    @pytest.mark.parametrize("mode,scales,samples,k,min_scales", [
+        ("d", [3, 4], 0, 0, 1), ("d", [4], 10, 0, 2), ("d", [], 10, 0, 1),
+        ("d", [-1], 10, 0, 1), ("d", [21], 10, 0, 1),
+        ("filtration", [2, 3], 10, 2, 1), ("filtration", [3], 10, -1, 1),
+        ("filtration", [21], 10, 1, 1), ("z", [0], 10, 0, 1),
+        ("z", [-4], 10, 0, 1), ("z", [6], 10, 0, 1), ("z", [2 ** 21], 10, 0, 1),
+        ("x", [3], 10, 0, 1)])
+    def test_rejected(self, mode, scales, samples, k, min_scales):
+        with pytest.raises(ValueError):
+            entropy.check_scales(mode, scales, samples, 20, k, min_scales)
+
+    def test_wrappers_check_before_drawing(self):
+        class Refusing:
+            N = 4
+
+            def draw_w(self, *args):
+                raise AssertionError("drawn before the scales were checked")
+            draw = draw_w
+
+        with pytest.raises(ValueError):
+            entropy.scaling_curve_d(Refusing(), [3, 5])
+        with pytest.raises(ValueError):
+            entropy.scaling_curve_z(Refusing(), [4, 32])
+        with pytest.raises(ValueError):
+            entropy.scaling_curve_d(Refusing(), [3], n_samples=0)
