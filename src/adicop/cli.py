@@ -12,9 +12,10 @@ set the parallelism and aggregation is order-independent, so outputs are
 byte-identical for any worker count.  Output files echo the full config in
 their header.
 
-Exit codes: 0 pass, 1 check failure, 2 usage error (bad input, reported
-before any sampling starts, or an unreadable or unwritable file), 3
-internal error (any other exception, reported on one line).
+Exit codes: 0 pass, 1 check failure, 2 usage error (a malformed command
+line or config file, bad input reported before any sampling starts, or an
+unreadable or unwritable file), 3 internal error (any other exception,
+reported on one line).
 """
 
 from __future__ import annotations
@@ -79,9 +80,10 @@ def parse_eps_list(text: str) -> list[float]:
     return eps_grid
 
 
-def load_config(path: str) -> dict:
-    """Flat `key = value` lines; blank lines and # comments ignored."""
-    out = {}
+def load_config(path: str) -> list[str]:
+    """Flat `key = value` lines as `--key=value` flags; blank lines and #
+    comments ignored."""
+    out = []
     with open(path) as f:
         for lineno, raw in enumerate(f, 1):
             line = raw.split("#", 1)[0].strip()
@@ -90,7 +92,7 @@ def load_config(path: str) -> dict:
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected key = value")
             key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = val.strip()
+            out.append(f"--{key.strip().replace('_', '-')}={val.strip()}")
     return out
 
 
@@ -321,12 +323,17 @@ def build_sampler(spec: str, M: int):
             params = dict(t.split("=", 1) for t in toks[1:] if "=" in t)
             flags = [t for t in toks[1:] if "=" not in t]
             k = int(params.get("k", 1))
+            if not 0 <= k <= M:
+                raise ValueError(f"k must lie in [0, M = {M}], got {k}")
             period = None
             for fl in flags:
                 if fl.startswith("period"):
                     period = int(fl[len("period"):])
             if period is None:
                 period = int(params.get("period", 1 << k))
+            if not 1 <= period <= 1 << dyadic.N_MAX:
+                raise ValueError(f"period must lie in [1, 2**{dyadic.N_MAX}]"
+                                 f", got {period}")
             word = [PERIOD8_WORD[i % 8] for i in range(period)]
             step = math.gcd(1 << k, period)
             base = measures.AtomicBase(word, range(0, period, step))
@@ -337,7 +344,7 @@ def build_sampler(spec: str, M: int):
             base = measures.ToeplitzBase()
             levels = measures.OdometerLevels(base.R)
             return measures.make_aperiodic(base, levels, alpha)
-    except (ValueError, ZeroDivisionError) as e:
+    except ValueError as e:
         raise UsageError(f"bad measure spec {spec!r}: {e}") from None
     raise UsageError(f"unknown measure spec {spec!r}")
 
@@ -402,8 +409,6 @@ def cmd_classify(args, cfg) -> int:
 # entropy (ad-hoc single estimate)
 
 def cmd_entropy(args, cfg) -> int:
-    if args.mode not in ("d", "z"):
-        raise UsageError(f"unknown entropy mode {args.mode!r}")
     sigma = parse_sigma(args.sigma)
     eps_grid = parse_eps_list(args.eps)
     if len(eps_grid) != 1:
@@ -418,50 +423,15 @@ def cmd_entropy(args, cfg) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="adicop")
-    sub = top.add_subparsers(dest="command", required=True)
+class Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a UsageError, not SystemExit."""
 
-    def common(p):
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--out", default=None)
-
-    p = sub.add_parser("oracle", help="exhaustive small-depth self-checks")
-    common(p)
-    p.add_argument("--depth", type=int, default=None)
-
-    p = sub.add_parser("scaling", help="entropy growth curve + verdict")
-    common(p)
-    p.add_argument("--mode", choices=["z", "d", "filtration"], default=None)
-    p.add_argument("--sigma", default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--eps", default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--scales", default=None)
-
-    p = sub.add_parser("classify", help="periodic type of a named measure")
-    common(p)
-    p.add_argument("--spec", default=None)
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--cyl-len", type=int, default=None)
-    p.add_argument("--n-accept", type=int, default=None)
-    p.add_argument("--M", type=int, default=None)
-
-    p = sub.add_parser("entropy", help="one ad-hoc entropy estimate")
-    common(p)
-    p.add_argument("--mode", choices=["z", "d"], default=None)
-    p.add_argument("--sigma", default=None)
-    p.add_argument("--scale", type=int, default=None)
-    p.add_argument("--eps", default=None)
-    p.add_argument("--samples", type=int, default=None)
-
-    return top
+    def error(self, message):
+        raise UsageError(message)
 
 
 DEFAULTS = {
+    "common": {"workers": 1},
     "oracle": {"depth": 4},
     "scaling": {"mode": "d", "sigma": "11111111", "k": 1, "eps": "0.25",
                 "samples": 2000, "scales": "2 3 4 5 6"},
@@ -471,39 +441,50 @@ DEFAULTS = {
                 "samples": 2000},
 }
 
-COERCE = {"seed": int, "workers": int, "depth": int, "k": int,
-          "samples": int, "kmax": int, "cyl_len": int, "n_accept": int,
-          "M": int, "scale": int, "tol": float}
 
+def build_parser() -> argparse.ArgumentParser:
+    top = Parser(prog="adicop")
+    sub = top.add_subparsers(dest="command", required=True)
 
-def resolve_args(args) -> dict:
-    """Fill unset options from the config file, then from built-in defaults;
-    returns the effective config for output headers."""
-    file_cfg = load_config(args.config) if args.config else {}
-    layers = dict(DEFAULTS.get(args.command, {}))
-    layers["workers"] = 1
-    env = [("seed", os.environ.get(SEED_ENV, "0"))]
-    for key, val in env + list(file_cfg.items()):
-        if key not in vars(args):
-            raise UsageError(f"unknown config key {key!r}")
-        try:
-            layers[key] = COERCE.get(key, str)(val)
-        except ValueError:
-            raise UsageError(f"{key} must be a number, got {val!r}") from None
-    effective = {}
-    for key, val in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if val is None and key in layers:
-            val = layers[key]
-        setattr(args, key, val)
-        # workers sets parallelism only and must not alter output bytes
-        if key not in ("out", "workers"):
-            effective[key] = val
-    effective["command"] = args.command
-    if args.seed < 0:
-        raise UsageError(f"seed must be nonnegative, got {args.seed}")
-    return effective
+    def add(name, about):
+        # no abbreviations: a config key must name its option in full
+        p = sub.add_parser(name, help=about, allow_abbrev=False)
+        p.add_argument("--config", help="flat key = value config file")
+        # a string default passes through type=int like a flag value
+        p.add_argument("--seed", type=int,
+                       default=os.environ.get(SEED_ENV, "0"))
+        p.add_argument("--workers", type=int)
+        p.add_argument("--out")
+        p.set_defaults(**DEFAULTS["common"], **DEFAULTS[name])
+        return p
+
+    p = add("oracle", "exhaustive small-depth self-checks")
+    p.add_argument("--depth", type=int)
+
+    p = add("scaling", "entropy growth curve + verdict")
+    p.add_argument("--mode", choices=["z", "d", "filtration"])
+    p.add_argument("--sigma")
+    p.add_argument("--k", type=int)
+    p.add_argument("--eps")
+    p.add_argument("--samples", type=int)
+    p.add_argument("--scales")
+
+    p = add("classify", "periodic type of a named measure")
+    p.add_argument("--spec")
+    p.add_argument("--kmax", type=int)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--cyl-len", type=int)
+    p.add_argument("--n-accept", type=int)
+    p.add_argument("--M", type=int)
+
+    p = add("entropy", "one ad-hoc entropy estimate")
+    p.add_argument("--mode", choices=["z", "d"])
+    p.add_argument("--sigma")
+    p.add_argument("--scale", type=int)
+    p.add_argument("--eps")
+    p.add_argument("--samples", type=int)
+
+    return top
 
 
 COMMANDS = {"oracle": cmd_oracle, "scaling": cmd_scaling,
@@ -511,10 +492,20 @@ COMMANDS = {"oracle": cmd_oracle, "scaling": cmd_scaling,
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = resolve_args(args)
+        if args.config:
+            # file entries are flags placed before the command line's own,
+            # which therefore win
+            args = parser.parse_args(argv[:1] + load_config(args.config)
+                                     + argv[1:])
+        if args.seed < 0:
+            raise UsageError(f"seed must be nonnegative, got {args.seed}")
+        # workers sets parallelism only and must not alter output bytes
+        cfg = {key: val for key, val in vars(args).items()
+               if key not in ("config", "out", "workers")}
         return COMMANDS[args.command](args, cfg)
     except (UsageError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -261,9 +261,6 @@ class EntropyCurve:
     def bits(self, eps=None):
         return [r[2] for r in self.rows if eps is None or r[1] == eps]
 
-    def scales(self, eps=None):
-        return [r[0] for r in self.rows if eps is None or r[1] == eps]
-
     def to_csv(self, path, header_lines=()):
         with open(path, "w") as f:
             for line in header_lines:
@@ -273,8 +270,11 @@ class EntropyCurve:
                 f.write(f"{scale},{eps},{bits:.6f},{samples},{seed}\n")
 
 
-def asymp_compare(bits, target, spread_tol: float = 2.0,
-                  drift_tol: float = 1.0) -> dict:
+SPREAD_TOL = 2.0  # bound on max - min of the log2 gaps
+DRIFT_TOL = 1.0  # bound on a monotone top-half drift of the gaps
+
+
+def asymp_compare(bits, target) -> dict:
     """Growth-class comparison: per-scale gaps log2(bits) - log2(target) must
     have bounded spread and no monotone drift over the top half of scales."""
     if len(bits) < 2:
@@ -286,10 +286,10 @@ def asymp_compare(bits, target, spread_tol: float = 2.0,
     diffs = np.diff(top)
     monotone = bool(np.all(diffs >= -1e-9) or np.all(diffs <= 1e-9))
     drift = abs(top[-1] - top[0])
-    ok = spread <= spread_tol and not (monotone and drift > drift_tol)
+    ok = spread <= SPREAD_TOL and not (monotone and drift > DRIFT_TOL)
     return {"pass": ok, "gaps": gaps, "spread": spread,
             "drift_top_half": drift, "monotone_top_half": monotone,
-            "spread_tol": spread_tol, "drift_tol": drift_tol}
+            "spread_tol": SPREAD_TOL, "drift_tol": DRIFT_TOL}
 
 
 # ---------------------------------------------------------------------------

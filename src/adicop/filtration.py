@@ -237,46 +237,36 @@ def lemma17_entropy_exact(m: int, r: int, q: int, eps: float) -> float:
     return math.log2(max(balls, 1))
 
 
-def lemma17_entropy(m: int, r: int, q: int, eps: float,
-                    n_samples: int = 256, seed: int = 0) -> float:
-    """Entropy of the invariant-configuration space: exact covering when the
-    instance is small and eps is below the distance quantum, Monte Carlo
-    block estimate otherwise."""
-    if r == m:
-        return math.log2(q) if eps / 2 < 1.0 else 0.0
-    if (q ** (1 << (m - r)) <= EXACT_ENTROPY_LIMIT and eps / 2 < 2.0 ** -m):
-        return lemma17_entropy_exact(m, r, q, eps)
-    return lemma17_entropy_estimate(m, r, q, eps, n_samples, seed)
-
-
 def sample_invariant_configs(m: int, r: int, q: int, n: int, rng) -> np.ndarray:
     """Uniform draws from the invariant configurations, as symbol rows."""
     base = rng.integers(0, q, size=(n, 1 << (m - r)))
     return np.repeat(base, 1 << r, axis=1)
 
 
-def _split_entropy_bits(sym: np.ndarray, split_flags, eps: float,
-                        terminal_depth: int = 3) -> float:
+TERMINAL_DEPTH = 3
+
+
+def _split_entropy_bits(sym: np.ndarray, split_flags, eps: float) -> float:
     """Block-additive covering estimate on symbol trees.
 
     split_flags[j] tells whether the level splitting on generator bit j is
     informative: at uninformative levels the two halves are identical and
     the iteration passes through them exactly; informative levels are
     treated as independent blocks and their estimates added (growth-class
-    surrogate).  Depth <= terminal_depth instances use the exact pairwise
+    surrogate).  Depth <= TERMINAL_DEPTH instances use the exact pairwise
     Kantorovich values with greedy covering.
     """
     m = sym.shape[1].bit_length() - 1
-    if m <= terminal_depth:
+    if m <= TERMINAL_DEPTH:
         return greedy_cover_bits(pairwise_dist_matrix(sym), eps)
     h = 1 << (m - 1)
     first, second = sym[:, :h], sym[:, h:]
     if not split_flags[m - 1]:
         if not np.array_equal(first, second):
             raise ValueError("level flagged as degenerate but halves differ")
-        return _split_entropy_bits(first, split_flags, eps, terminal_depth)
-    return (_split_entropy_bits(first, split_flags, eps, terminal_depth)
-            + _split_entropy_bits(second, split_flags, eps, terminal_depth))
+        return _split_entropy_bits(first, split_flags, eps)
+    return (_split_entropy_bits(first, split_flags, eps)
+            + _split_entropy_bits(second, split_flags, eps))
 
 
 def lemma17_entropy_estimate(m: int, r: int, q: int, eps: float,

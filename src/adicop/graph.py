@@ -164,18 +164,3 @@ def kappa(g: int, x: PathPrefix) -> PathPrefix:
         raise ResolutionError(f"element {g} outside D_{x.depth}")
     return PathPrefix(x.top, alpha_digits(alpha_value(x.alpha) ^ g, x.depth))
 
-
-def serialize(x: PathPrefix) -> dict:
-    return {
-        "depth": x.depth,
-        "label": np.packbits(x.top.label, bitorder="little").tobytes().hex(),
-        "alpha": list(x.alpha),
-    }
-
-
-def deserialize(rec: dict) -> PathPrefix:
-    n = rec["depth"]
-    bits = np.unpackbits(
-        np.frombuffer(bytes.fromhex(rec["label"]), dtype=np.uint8),
-        bitorder="little")[: 1 << n]
-    return PathPrefix(Vertex(n, bits), rec["alpha"])

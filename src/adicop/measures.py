@@ -181,16 +181,19 @@ class EigenConsistencyError(ValueError):
     pass
 
 
-def check_eigen_consistency(base, levels: OdometerLevels, rng,
-                            n_probe: int = 20000, depth: int = 4) -> None:
+EIGEN_PROBES = 20000
+EIGEN_DEPTH = 4
+
+
+def check_eigen_consistency(base, levels: OdometerLevels, rng) -> None:
     """Level sets must carry mass about 2**-n (4 binomial sigma) and the
     shift must advance the level by one."""
-    d = base.draw(n_probe, 0, 1, rng)
-    for n in range(1, depth + 1):
+    d = base.draw(EIGEN_PROBES, 0, 1, rng)
+    for n in range(1, EIGEN_DEPTH + 1):
         r = levels.level(d, n)
         p = 2.0 ** -n
-        tol = 4 * math.sqrt(p * (1 - p) / n_probe)
-        counts = np.bincount(r, minlength=1 << n) / n_probe
+        tol = 4 * math.sqrt(p * (1 - p) / EIGEN_PROBES)
+        counts = np.bincount(r, minlength=1 << n) / EIGEN_PROBES
         if np.any(np.abs(counts - p) > tol):
             raise EigenConsistencyError(
                 f"level-set mass at depth {n} deviates beyond 4 sigma")
@@ -262,22 +265,22 @@ class AperiodicSampler:
 
     The digit value is forced to (level - r(n, alpha)) mod 2**n at every
     depth n, so conditioning the digits on 0 mod 2**n restricts the base to
-    the level set B(r(n, alpha), n).
+    the level set B(r(n, alpha), n).  The level oracle is checked against
+    the base on a fixed probe sample.
     """
 
-    def __init__(self, base, levels: OdometerLevels, alpha, rng=None,
-                 check: bool = True):
+    def __init__(self, base, levels: OdometerLevels, alpha):
         self.base = base
         self.levels = levels
         self.alpha = tuple(int(a) for a in alpha)
+        if any(a not in (0, 1) for a in self.alpha):
+            raise ValueError(f"alpha digits must be bits, got {self.alpha}")
         if len(self.alpha) > levels.max_level:
             raise ValueError("alpha longer than the level resolution")
         # finite digit specs are zero-extended to the full resolution
         self.M = levels.max_level
         self.r_mask = sum(a << i for i, a in enumerate(self.alpha))
-        if check:
-            check_eigen_consistency(base, levels,
-                                    rng or np.random.default_rng(0))
+        check_eigen_consistency(base, levels, np.random.default_rng(0))
 
     def variates(self, n: int, lo: int, hi: int, rng) -> dict:
         v = self.base.variates(n, lo, hi, rng)
@@ -293,8 +296,8 @@ class AperiodicSampler:
                          M=self.M)
 
 
-def make_aperiodic(base, levels: OdometerLevels, alpha, rng=None) -> AperiodicSampler:
-    return AperiodicSampler(base, levels, alpha, rng=rng)
+def make_aperiodic(base, levels: OdometerLevels, alpha) -> AperiodicSampler:
+    return AperiodicSampler(base, levels, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +327,6 @@ class CylinderTable:
         f = sum(w * t.freq for t, w in zip(tables, weights))
         return CylinderTable(f, t0.L, t0.start)
 
-    def words(self):
-        for v in range(len(self.counts)):
-            yield format(v, f"0{self.L}b")[::-1], self.freq[v]
-
 
 def pack_words(y: np.ndarray, lo: int, start: int, L: int) -> np.ndarray:
     """Encode the length-L window starting at integer position `start` as an
@@ -339,11 +338,13 @@ def pack_words(y: np.ndarray, lo: int, start: int, L: int) -> np.ndarray:
     return block @ (1 << np.arange(L, dtype=np.int64))
 
 
+MAX_DRAWS = 50_000_000  # rows one projection may draw
+
+
 def project_theta(sampler, k: int, r: int, L: int, n_accept: int, rng,
-                  start: int | None = None, shift: int = 0,
-                  max_draws: int = 50_000_000) -> tuple[CylinderTable, float]:
+                  shift: int = 0) -> tuple[CylinderTable, float]:
     """Empirical P_{r,k}: condition the digit value on r modulo 2**k, shift
-    the window by `shift`, tabulate length-L words at `start`.
+    the window by `shift`, tabulate length-L words at position -L.
 
     Conditioning is by rejection on alpha: each chunk draws the variates of
     every row, so the generator advances as for full draws, and renders
@@ -356,14 +357,12 @@ def project_theta(sampler, k: int, r: int, L: int, n_accept: int, rng,
         raise ValueError(f"k must lie in [0, M = {sampler.M}], got {k}")
     if not 0 <= r < 1 << k:
         raise ValueError(f"r must lie in [0, 2**{k}), got {r}")
-    if start is None:
-        start = -L
-    lo, hi = start + shift, start + shift + L - 1
+    lo, hi = shift - L, shift - 1
     counts = np.zeros(1 << L)
     kept = total = 0
     chunk = max(2048, min(1 << 18, n_accept << (k + 1)))
     while kept < n_accept:
-        if total > max_draws:
+        if total > MAX_DRAWS:
             raise RuntimeError("zero or too few accepted samples")
         v = sampler.variates(chunk, lo, hi, rng)
         hits = np.flatnonzero((v["alpha"] & ((1 << k) - 1)) == r)
@@ -375,7 +374,7 @@ def project_theta(sampler, k: int, r: int, L: int, n_accept: int, rng,
             counts += np.bincount(codes, minlength=1 << L)
             kept += len(rows)
         del v  # free this chunk's variates before the next chunk is drawn
-    return CylinderTable(counts, L, start), kept / total
+    return CylinderTable(counts, L, -L), kept / total
 
 
 def theta_verdict(tables, acceptance, tol: float, n_accept: int) -> dict:
@@ -393,20 +392,14 @@ def theta_verdict(tables, acceptance, tol: float, n_accept: int) -> dict:
 
 
 def classify_periodic_type(sampler, k_max: int, L: int, n_accept: int,
-                           tol: float, rng, start: int | None = None) -> dict:
+                           tol: float, rng) -> dict:
     """Smallest k at which the theta ladder stabilizes, or aperiodic-up-to-k_max.
 
     Computes empirical theta_0, ..., theta_{k_max + 1} and their successive
     total-variation distances; see `theta_verdict`.
     """
     tables, acceptance = zip(*(
-        project_theta(sampler, k, 0, L, n_accept, rng, start=start)
+        project_theta(sampler, k, 0, L, n_accept, rng)
         for k in range(k_max + 2)))
     return theta_verdict(tables, acceptance, tol, n_accept)
 
-
-def export_table_csv(table: CylinderTable, path) -> None:
-    with open(path, "w") as f:
-        f.write("cylinder-word,frequency\n")
-        for word, freq in table.words():
-            f.write(f"{word},{freq:.10g}\n")

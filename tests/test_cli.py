@@ -204,7 +204,11 @@ class TestBadClassify:
         ("periodic k=x", []), ("periodic k=-1", []),
         ("periodic period0", []), ("periodic k=3", ["--M", "2", "--kmax", "0"]),
         ("aperiodic toeplitz alpha=0x1", []), ("aperiodic", []),
-        ("product", [])])
+        ("product", []),
+        # would build a word of 2**40 symbols before the range checks
+        ("periodic k=40", []), ("periodic k=40", ["--M", "62"]),
+        ("periodic period2097152", []),
+        ("aperiodic toeplitz alpha=2", [])])
     def test_malformed_spec(self, monkeypatch, capsys, spec, flags):
         _no_draws(monkeypatch)
         assert run(["classify", "--spec", spec, *flags]) == 2
@@ -271,6 +275,39 @@ def test_reproduces_committed_scaling(tmp_path, capsys, mode):
     want = ROOT / "results" / f"scaling_{mode}_alternating.csv"
     version = re.compile(r"# version = .*\n")
     assert version.sub("", out.read_text()) == version.sub("", want.read_text())
+
+
+USAGE_ERRORS = {  # name: argv, given a directory for a config file
+    "no subcommand": lambda tmp: [],
+    "unknown flag": lambda tmp: ["scaling", "--bogus", "1"],
+    "bad choice": lambda tmp: ["scaling", "--mode", "q"],
+    "bad int flag": lambda tmp: ["scaling", "--samples", "many"],
+    "bad int in config": lambda tmp: ["scaling", "--config",
+                                      _config(tmp, "samples = many\n")],
+    "abbreviated config key": lambda tmp: ["scaling", "--config",
+                                           _config(tmp, "sam = 300\n")],
+}
+
+
+def _config(tmp, text):
+    path = tmp / "run.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("name", USAGE_ERRORS)
+def test_one_usage_error_path(monkeypatch, capsys, tmp_path, name):
+    _no_draws(monkeypatch)
+    assert run(USAGE_ERRORS[name](tmp_path)) == 2  # returned, no SystemExit
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["scaling", "--help"])
+    assert exc.value.code == 0
+    assert "--samples" in capsys.readouterr().out
 
 
 class TestExitCodes:

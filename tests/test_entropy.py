@@ -262,6 +262,36 @@ class TestScalingSmall:
         assert all(a <= b + 1e-9 for a, b in zip(bits, bits[1:]))
 
 
+def binary_entropy(p):
+    return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
+
+
+class TestClosedForm:
+    # sigma = 1^8: the d-mode metric at level n is normalized Hamming
+    # distance on uniform {0,1}^d, d = 2**n, whose covering eps-entropy is
+    # d (1 - H(eps/2)) + O(log d) (rate-distortion for a binary symmetric
+    # source).  The estimate sums identical 16-bit blocks, so its ratio to
+    # the closed form is the same at every d >= 16.  Band limits:
+    # * 1.0, the rate-distortion limit: no cover of the uniform source does
+    #   better, and a finite block only adds to it;
+    # * VOLUME_RATIO, the sphere-covering count of one 16-bit block,
+    #   0.75 * 2**16 / (1 + 16 + 120) radius-2 balls: greedy on 2000 sample
+    #   points would need that many balls only if its balls held no more
+    #   sample points than an average ball does (2000 * 137 / 2**16).
+    EPS = 0.25
+    VOLUME_RATIO = (math.log2(0.75 * 2 ** 16 / 137)
+                    / (16 * (1 - binary_entropy(0.125))))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_d_mode_ratio_in_band(self, seed):
+        levels = range(4, 9)
+        curve = entropy.scaling_curve_d(MSigmaSampler((1,) * 8, 8), levels,
+                                        eps_grid=(self.EPS,), seed=seed)
+        for n, bits in zip(levels, curve.bits(self.EPS)):
+            closed = (1 << n) * (1 - binary_entropy(self.EPS / 2))
+            assert 1.0 <= bits / closed <= self.VOLUME_RATIO
+
+
 class TestCheckScales:
     @pytest.mark.parametrize("mode,scales,k", [
         ("d", [0, 20], 0), ("filtration", [1, 20], 0),

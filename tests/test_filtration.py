@@ -147,9 +147,6 @@ class TestLemma17:
         for m in (2, 3):
             assert 0.5 <= h[m, 0] - h[m, 1] <= 1.5
 
-    def test_degenerate_r_equals_m(self):
-        assert filtration.lemma17_entropy(2, 2, 2, 0.1) == 1.0
-
     def test_invariant_configs(self):
         cfgs = filtration.invariant_configs(3, 2, 1)
         assert len(cfgs) == 16

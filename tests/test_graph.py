@@ -98,11 +98,3 @@ class TestKappa:
         top = graph.Vertex(2, np.zeros(4, dtype=np.uint8))
         with pytest.raises(ResolutionError):
             graph.kappa(4, graph.PathPrefix(top, (0, 0)))
-
-
-class TestSerialize:
-    def test_roundtrip(self):
-        rng = np.random.default_rng(3)
-        for depth in range(1, 6):
-            x = random_path(rng, depth)
-            assert graph.deserialize(graph.serialize(x)) == x

@@ -260,11 +260,3 @@ class TestTables:
         assert a.tv(b) == pytest.approx(0.5)
         mix = measures.CylinderTable.mixture([a, b], [0.5, 0.5])
         assert np.allclose(mix.freq, [0.5, 0.5])
-
-    def test_export_csv(self, tmp_path):
-        t = measures.CylinderTable(np.array([1.0, 0.0, 0.0, 3.0]), 2, 0)
-        path = tmp_path / "table.csv"
-        measures.export_table_csv(t, path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "cylinder-word,frequency"
-        assert len(lines) == 5
