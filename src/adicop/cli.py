@@ -311,6 +311,17 @@ def cmd_scaling(args, cfg) -> int:
 PERIOD8_WORD = (0, 0, 0, 1, 0, 1, 1, 1)
 
 
+def _spec_params(toks, keys) -> dict:
+    """The key=value tokens of a measure spec; any other token is refused."""
+    params = {}
+    for t in toks:
+        key, eq, value = t.partition("=")
+        if not eq or key not in keys:
+            raise ValueError(f"unknown token {t!r}")
+        params[key] = value
+    return params
+
+
 def build_sampler(spec: str, M: int):
     """The sampler a measure spec names; a malformed spec raises UsageError."""
     toks = spec.split()
@@ -320,17 +331,14 @@ def build_sampler(spec: str, M: int):
             p = float(toks[2])
             return measures.ProductSampler(measures.BernoulliBase(p), M)
         if kind == "periodic":
-            params = dict(t.split("=", 1) for t in toks[1:] if "=" in t)
-            flags = [t for t in toks[1:] if "=" not in t]
+            # "periodN" is short for period=N
+            params = _spec_params([f"period={t[6:]}" if t[:6] == "period"
+                                   and t[6:].isdigit() else t
+                                   for t in toks[1:]], ("k", "period"))
             k = int(params.get("k", 1))
             if not 0 <= k <= M:
                 raise ValueError(f"k must lie in [0, M = {M}], got {k}")
-            period = None
-            for fl in flags:
-                if fl.startswith("period"):
-                    period = int(fl[len("period"):])
-            if period is None:
-                period = int(params.get("period", 1 << k))
+            period = int(params.get("period", 1 << k))
             if not 1 <= period <= 1 << dyadic.N_MAX:
                 raise ValueError(f"period must lie in [1, 2**{dyadic.N_MAX}]"
                                  f", got {period}")
@@ -339,7 +347,7 @@ def build_sampler(spec: str, M: int):
             base = measures.AtomicBase(word, range(0, period, step))
             return measures.PeriodicTypeSampler(k, base, M)
         if kind == "aperiodic" and toks[1:2] == ["toeplitz"]:
-            params = dict(t.split("=", 1) for t in toks[2:] if "=" in t)
+            params = _spec_params(toks[2:], ("alpha",))
             alpha = [int(c) for c in params.get("alpha", "0000")]
             base = measures.ToeplitzBase()
             levels = measures.OdometerLevels(base.R)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -109,7 +110,8 @@ def average_z(rho: Semimetric, t: int) -> Semimetric:
 # covering estimators
 
 def _max_uncovered(eps: float, n: int) -> int:
-    return int(math.floor(eps * n - 1e-9))
+    # exact, so that n may exceed the float range (orbit counts q**(2**m))
+    return math.floor(Fraction(eps) * n - Fraction(1e-9))
 
 
 def greedy_cover_count(D: np.ndarray, eps: float) -> int:

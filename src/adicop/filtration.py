@@ -12,7 +12,7 @@ orbit Hamming distance dist_m under the tree automorphism group.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from collections import Counter
 
 import numpy as np
 
@@ -139,101 +139,69 @@ def pairwise_dist_matrix(sym: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # orbits of the automorphism group on labeled trees
 
-ORBIT_ENUM_LIMIT = 1 << 20
+ORBIT_DEPTH_MAX = 10
 
 
-def _canon_and_size(leaves: tuple) -> tuple:
-    @lru_cache(maxsize=None)
-    def rec(t: tuple):
-        if len(t) == 1:
-            return t, 1
-        h = len(t) // 2
-        c0, s0 = rec(t[:h])
-        c1, s1 = rec(t[h:])
-        if c0 == c1:
-            return c0 + c1, s0 * s1
-        if c0 < c1:
-            return c0 + c1, 2 * s0 * s1
-        return c1 + c0, 2 * s0 * s1
-    return rec(tuple(leaves))
+def _check_orbit_args(m: int, q: int, r: int = 0) -> None:
+    if not 0 <= m <= ORBIT_DEPTH_MAX:
+        raise ValueError(f"m must lie in [0, {ORBIT_DEPTH_MAX}], got {m}")
+    if q < 1:
+        raise ValueError(f"alphabet size q must be at least 1, got {q}")
+    if not 0 <= r <= m:
+        raise ValueError(f"r must lie in [0, m = {m}], got {r}")
 
 
-def orbit_canonical(leaves) -> tuple:
-    return _canon_and_size(tuple(leaves))[0]
-
-
-def orbit_size(leaves) -> int:
-    return _canon_and_size(tuple(leaves))[1]
-
-
-def _iter_configs(m: int, q: int, free_positions=None):
-    L = 1 << m
-    if free_positions is None:
-        free_positions = list(range(L))
-    base = [0] * L
-    for code in range(q ** len(free_positions)):
-        c = code
-        for pos in free_positions:
-            base[pos] = c % q
-            c //= q
-        yield tuple(base)
+def _orbit_histogram(m: int, q: int) -> dict[int, int]:
+    """{orbit size: number of orbits} of the tree automorphism group on
+    Q^{D_m}.  Aut(T_{m+1}) is C2 wreath Aut(T_m), so its orbits are the
+    unordered pairs of depth-m orbits: two distinct orbits of sizes a and
+    b give one of size 2ab, an orbit paired with itself one of size a*a."""
+    hist = {1: q}
+    for _ in range(m):
+        nxt = Counter()
+        sizes = sorted(hist)
+        for i, a in enumerate(sizes):
+            n = hist[a]
+            nxt[a * a] += n
+            nxt[2 * a * a] += n * (n - 1) // 2
+            for b in sizes[i + 1:]:
+                nxt[2 * a * b] += n * hist[b]
+        hist = {s: n for s, n in nxt.items() if n}
+    return hist
 
 
 def max_orbit_size(m: int, q: int) -> int:
     """Exact maximal orbit cardinality of the tree automorphism group acting
-    on Q^{D_m}; exhaustive enumeration."""
-    if q ** (1 << m) > ORBIT_ENUM_LIMIT:
-        raise ValueError("instance too large for exhaustive orbit enumeration")
-    return max(orbit_size(cfg) for cfg in _iter_configs(m, q))
-
-
-def invariant_configs(m: int, q: int, r: int) -> list[tuple]:
-    """All configurations on D_m invariant under the subgroup generated by
-    g_0, ..., g_{r-1}: values constant on its cosets."""
-    if r > m:
-        raise ValueError("r exceeds m")
-    L = 1 << m
-    step = 1 << r
-    reps = list(range(0, L, step))
-    out = []
-    for base in _iter_configs(m - r, q):
-        cfg = [0] * L
-        for i, g in enumerate(reps):
-            for h in range(step):
-                cfg[g + h] = base[i]
-        out.append(tuple(cfg))
-    return out
-
-
-EXACT_ENTROPY_LIMIT = 1 << 12
+    on Q^{D_m}, from the orbit-size recursion; m <= ORBIT_DEPTH_MAX."""
+    _check_orbit_args(m, q)
+    return max(_orbit_histogram(m, q))
 
 
 def lemma17_entropy_exact(m: int, r: int, q: int, eps: float) -> float:
-    """Exact epsilon-entropy of (Q^{D_m}, dist_m, uniform on the invariant
-    configurations).
+    """Exact epsilon-entropy of (Q^{D_m}, dist_m, uniform on the
+    configurations invariant under g_0, ..., g_{r-1}); m <= ORBIT_DEPTH_MAX.
 
     Valid when eps/2 is below the minimal positive dist_m value 2**-m:
     balls then cover exactly one automorphism-orbit each, orbits partition
-    the space, and the optimal cover takes the largest orbits first.
+    the space, and the optimal cover takes the largest orbits first.  An
+    invariant configuration is constant on the D_r-cosets, so its orbit is
+    that of its depth-(m - r) reduced tree, and the orbit sizes are those
+    of the depth-(m - r) recursion.
     """
-    if q ** (1 << (m - r)) > EXACT_ENTROPY_LIMIT:
-        raise ValueError("instance too large for the exact covering oracle")
+    _check_orbit_args(m, q, r)
     if eps / 2 >= 2.0 ** -m:
         raise ValueError("exact oracle needs eps/2 below the distance quantum")
-    classes = {}
-    for cfg in invariant_configs(m, q, r):
-        key = orbit_canonical(cfg)
-        classes[key] = classes.get(key, 0) + 1
-    sizes = sorted(classes.values(), reverse=True)
-    total = sum(sizes)
-    allow = _max_uncovered(eps, total)
-    covered = 0
+    hist = _orbit_histogram(m - r, q)
+    total = q ** (1 << (m - r))
+    need = total - _max_uncovered(eps, total)
     balls = 0
-    for s in sizes:
-        if total - covered <= allow:
+    for size in sorted(hist, reverse=True):
+        if need <= 0:
             break
-        covered += s
-        balls += 1
+        # the greedy takes orbits of one size until ceil(need / size) are in
+        take = min(hist[size], -(-need // size))
+        balls += take
+        need -= take * size
     return math.log2(max(balls, 1))
 
 

@@ -208,11 +208,17 @@ class TestBadClassify:
         # would build a word of 2**40 symbols before the range checks
         ("periodic k=40", []), ("periodic k=40", ["--M", "62"]),
         ("periodic period2097152", []),
-        ("aperiodic toeplitz alpha=2", [])])
+        ("aperiodic toeplitz alpha=2", []),
+        # unknown keys and stray tokens, named in the error
+        ("periodic k=2 perod=8", []), ("aperiodic toeplitz alhpa=1", []),
+        ("periodic k=2 period8 fast", [])])
     def test_malformed_spec(self, monkeypatch, capsys, spec, flags):
         _no_draws(monkeypatch)
         assert run(["classify", "--spec", spec, *flags]) == 2
-        assert "spec" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "spec" in err
+        for tok in ("perod=8", "alhpa=1", "fast"):
+            assert (f"unknown token {tok!r}" in err) == (tok in spec.split())
 
     def test_edges_accepted(self, capsys):
         assert run(["classify", "--kmax", "7", "--M", "8", "--tol", "0",

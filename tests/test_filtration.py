@@ -1,10 +1,12 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from adicop import filtration
-from adicop.entropy import Semimetric, asymp_compare
+from adicop.entropy import Semimetric, _max_uncovered, asymp_compare
 
 
 def RNG(s=0):
@@ -101,6 +103,53 @@ class TestDistM:
                 assert D[i, j] == pytest.approx(filtration.dist_m(sym[i], sym[j]))
 
 
+# ---------------------------------------------------------------------------
+# reference: exhaustive orbit enumeration over all configurations
+
+def canon_and_size(leaves):
+    """Canonical form of the automorphism orbit of a leaf tuple (children
+    sorted at every node) and the orbit's size."""
+    if len(leaves) == 1:
+        return leaves, 1
+    h = len(leaves) // 2
+    c0, s0 = canon_and_size(leaves[:h])
+    c1, s1 = canon_and_size(leaves[h:])
+    if c0 == c1:
+        return c0 + c1, s0 * s1
+    return min(c0 + c1, c1 + c0), 2 * s0 * s1
+
+
+def iter_configs(m, q):
+    return itertools.product(range(q), repeat=1 << m)
+
+
+def invariant_configs(m, q, r):
+    """All configurations on D_m constant on the cosets of <g_0..g_{r-1}>."""
+    return [tuple(v for v in base for _ in range(1 << r))
+            for base in iter_configs(m - r, q)]
+
+
+def max_orbit_size_by_enumeration(m, q):
+    return max(canon_and_size(cfg)[1] for cfg in iter_configs(m, q))
+
+
+def exact_entropy_by_enumeration(m, r, q, eps):
+    """Largest-first greedy cover of the invariant configurations by whole
+    orbits, one orbit at a time."""
+    classes = Counter(canon_and_size(cfg)[0]
+                      for cfg in invariant_configs(m, q, r))
+    sizes = sorted(classes.values(), reverse=True)
+    total = sum(sizes)
+    allow = _max_uncovered(eps, total)
+    covered = balls = 0
+    for s in sizes:
+        if total - covered <= allow:
+            break
+        covered += s
+        balls += 1
+    return math.log2(max(balls, 1))
+
+
 class TestOrbits:
     def test_m2_is_4(self):
         assert filtration.max_orbit_size(2, 2) == 4
@@ -109,13 +158,33 @@ class TestOrbits:
         assert filtration.max_orbit_size(1, 2) == 2
 
     def test_doubling_bound(self):
-        # M_{m+1} <= 2 M_m^2, enumerated
-        sizes = {m: filtration.max_orbit_size(m, 2) for m in (1, 2, 3, 4)}
-        for m in (1, 2, 3):
+        # M_{m+1} <= 2 M_m^2, and the closed form 2^{3 * 2^{m-2} - 1} exactly
+        sizes = {m: filtration.max_orbit_size(m, 2) for m in range(1, 11)}
+        for m in range(1, 10):
             assert sizes[m + 1] <= 2 * sizes[m] ** 2
-        # and the closed-form bound 2^{3 * 2^{m-2} - 1}
-        for m in (2, 3, 4):
-            assert sizes[m] <= 2 ** (3 * 2 ** (m - 2) - 1)
+        for m in range(2, 11):
+            assert sizes[m] == 2 ** (3 * 2 ** (m - 2) - 1)
+
+    def test_orbit_count_and_mass(self):
+        # orbit counts a(m+1) = a(m)(a(m)+1)/2 with a(0) = q (OEIS A007501
+        # for q = 2), and the orbits partition Q^{D_m}
+        for q in (2, 3):
+            a = q
+            for m in range(filtration.ORBIT_DEPTH_MAX + 1):
+                hist = filtration._orbit_histogram(m, q)
+                assert sum(hist.values()) == a
+                assert sum(s * n for s, n in hist.items()) == q ** (1 << m)
+                a = a * (a + 1) // 2
+        assert [sum(filtration._orbit_histogram(m, 2).values())
+                for m in range(6)] == [2, 3, 6, 21, 231, 26796]
+
+    def test_orbit_space_scaled_entropy(self):
+        # as eps -> 0 at fixed m every orbit needs its own ball, so the
+        # scaled entropy of the orbit space is log2 a(m) / 2^m
+        a = sum(filtration._orbit_histogram(10, 2).values())
+        assert math.log2(a) / 2 ** 10 == pytest.approx(0.42941, abs=1e-5)
+        assert filtration.lemma17_entropy_exact(3, 0, 2, 1e-9) == \
+            math.log2(sum(filtration._orbit_histogram(3, 2).values()))
 
     def test_orbit_size_matches_enumeration(self):
         # recursive orbit size = count of distinct automorphism images
@@ -124,12 +193,38 @@ class TestOrbits:
         for _ in range(10):
             cfg = tuple(rng.integers(0, 2, 8))
             images = {tuple(np.asarray(cfg)[p]) for p in perms}
-            assert filtration.orbit_size(cfg) == len(images)
+            assert canon_and_size(cfg)[1] == len(images)
+
+    def test_recursion_matches_enumeration(self):
+        for q, m_max in ((2, 4), (3, 2)):
+            for m in range(m_max + 1):
+                assert filtration.max_orbit_size(m, q) == \
+                    max_orbit_size_by_enumeration(m, q)
+        for q, d_max in ((2, 3), (3, 2)):
+            for m in range(filtration.ORBIT_DEPTH_MAX + 1):
+                for r in range(max(m - d_max, 0), m + 1):
+                    for eps in (0.5, 0.3, 0.1, 0.05, 0.01, 0.001):
+                        if eps / 2 >= 2.0 ** -m:
+                            continue
+                        assert filtration.lemma17_entropy_exact(m, r, q, eps) \
+                            == exact_entropy_by_enumeration(m, r, q, eps)
+
+    @pytest.mark.parametrize("m,r,q,eps", [
+        (-1, 0, 2, 1e-6), (filtration.ORBIT_DEPTH_MAX + 1, 0, 2, 1e-6),
+        (2, 0, 0, 1e-6), (2, -1, 2, 1e-6), (2, 3, 2, 1e-6),
+        (2, 0, 2, 0.5)])  # eps/2 at the distance quantum 2^-m
+    def test_bad_input_rejected(self, m, r, q, eps):
+        with pytest.raises(ValueError):
+            filtration.lemma17_entropy_exact(m, r, q, eps)
+        if not 0 <= m <= filtration.ORBIT_DEPTH_MAX or q < 1:
+            with pytest.raises(ValueError):
+                filtration.max_orbit_size(m, q)
 
 
 class TestLemma17:
-    # exact values frozen from exhaustive orbit enumeration + disjoint-ball
-    # covering (balls of radius eps/2 < 2^-m isolate single orbits)
+    # exact values of the largest-first cover by whole orbits (balls of
+    # radius eps/2 < 2^-m isolate single orbits), checked against the
+    # exhaustive enumeration at the top of this file
     @pytest.mark.parametrize("m,r,want", [
         (2, 0, math.log2(5)),
         (3, 0, math.log2(14)),
@@ -148,7 +243,7 @@ class TestLemma17:
             assert 0.5 <= h[m, 0] - h[m, 1] <= 1.5
 
     def test_invariant_configs(self):
-        cfgs = filtration.invariant_configs(3, 2, 1)
+        cfgs = invariant_configs(3, 2, 1)
         assert len(cfgs) == 16
         for cfg in cfgs:
             for g in range(8):
