@@ -2,15 +2,16 @@
 """Run the benchmark and keep its result lines as BENCH_<tag>.json.
 
     python3 scripts/bench.py --tag TAG --workloads W [W ...] --seeds N [N ...]
-                             [--seconds S] [--trace {0,1}]
                              [--checkout NAME=DIR ...]
 
-Each run is `perfbench/run.py --workload W --seed N --seconds S --trace T`
-started in a checkout (by default this one).  With several checkouts, say a
-parent commit and a change, each (seed, workload) runs once in every
-checkout, in an order that alternates from one seed to the next.  The file
-holds, per run, the checkout, workload and seed with the details line and
-the result line of perfbench/run.py, and per workload and checkout the
+Each run is `perfbench/run.py --workload W --seed N --seconds S --trace 0`
+started in a checkout (by default this one), with S the `run_seconds` of
+BENCHMARK.json.  With several checkouts, say a parent commit and a change,
+each (seed, workload) runs once in every checkout, in an order that
+alternates from one seed to the next.  The file holds, per checkout, its
+git commit, the git tree of its src/ and whether it had uncommitted
+changes; per run, the checkout, workload and seed with the details line
+and the result line of perfbench/run.py; and per workload and checkout the
 median of each metric over the runs.
 """
 
@@ -22,12 +23,18 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
 
-def bench(checkout, workload, seed, seconds, trace):
+def git(checkout, *args):
+    return subprocess.run(["git", *args], cwd=checkout, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def bench(checkout, workload, seed):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True)
     details, result = proc.stdout.splitlines()[-2:]
     return json.loads(details), json.loads(result)
@@ -38,17 +45,18 @@ def main():
     p.add_argument("--tag", required=True)
     p.add_argument("--workloads", nargs="+", required=True)
     p.add_argument("--seeds", nargs="+", type=int, required=True)
-    p.add_argument("--seconds", type=float, default=20)
-    p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--checkout", action="append", metavar="NAME=DIR")
     args = p.parse_args()
     checkouts = [c.split("=", 1) for c in args.checkout or [f"this={ROOT}"]]
+    revisions = {name: {"commit": git(path, "rev-parse", "HEAD"),
+                        "src_tree": git(path, "rev-parse", "HEAD:src"),
+                        "dirty": bool(git(path, "status", "--porcelain"))}
+                 for name, path in checkouts}
     runs = []
     for i, seed in enumerate(args.seeds):
         for workload in args.workloads:
             for name, path in checkouts[::-1] if i % 2 else checkouts:
-                details, result = bench(path, workload, seed, args.seconds,
-                                        args.trace)
+                details, result = bench(path, workload, seed)
                 runs.append({"checkout": name, "workload": workload,
                              "seed": seed, "details": details,
                              "result": result})
@@ -62,9 +70,8 @@ def main():
                for w in args.workloads}
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps({
-        "tag": args.tag, "seconds": args.seconds, "trace": args.trace,
-        "checkouts": [name for name, _ in checkouts], "medians": medians,
-        "runs": runs}, indent=1) + "\n")
+        "tag": args.tag, "seconds": SECONDS, "checkouts": revisions,
+        "medians": medians, "runs": runs}, indent=1) + "\n")
     print(out)
 
 

@@ -142,7 +142,7 @@ def pairwise_dist_matrix(sym: np.ndarray) -> np.ndarray:
 ORBIT_DEPTH_MAX = 10
 
 
-def _check_orbit_args(m: int, q: int, r: int = 0) -> None:
+def _check_orbit_args(m: int, q: int, r: int) -> None:
     if not 0 <= m <= ORBIT_DEPTH_MAX:
         raise ValueError(f"m must lie in [0, {ORBIT_DEPTH_MAX}], got {m}")
     if q < 1:
@@ -173,7 +173,7 @@ def _orbit_histogram(m: int, q: int) -> dict[int, int]:
 def max_orbit_size(m: int, q: int) -> int:
     """Exact maximal orbit cardinality of the tree automorphism group acting
     on Q^{D_m}, from the orbit-size recursion; m <= ORBIT_DEPTH_MAX."""
-    _check_orbit_args(m, q)
+    _check_orbit_args(m, q, 0)
     return max(_orbit_histogram(m, q))
 
 
