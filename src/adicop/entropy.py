@@ -150,14 +150,12 @@ def greedy_cover_bits(D: np.ndarray, eps: float) -> float:
 EXACT_COVER_LIMIT = 24
 
 
-def exact_cover_count(D: np.ndarray, eps: float, weights=None) -> int:
+def exact_cover_count(D: np.ndarray, eps: float) -> int:
     """Minimal number of eps/2-balls centered at points leaving less than an
-    eps fraction of the mass uncovered; exhaustive, tiny instances only."""
+    eps fraction of the points uncovered; exhaustive, tiny instances only."""
     n = D.shape[0]
     if n > EXACT_COVER_LIMIT:
         raise ValueError(f"exact covering limited to {EXACT_COVER_LIMIT} points")
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
-    total = w.sum()
     cover = D <= eps / 2 + 1e-12
     masks = []
     for i in range(n):
@@ -169,18 +167,14 @@ def exact_cover_count(D: np.ndarray, eps: float, weights=None) -> int:
     # drop masks dominated by another
     masks = [m for i, m in enumerate(masks)
              if not any(m | o == o for o in masks[:i])]
-    need = total - eps * total + 1e-12 * total
-
-    def mass(m: int) -> float:
-        return float(sum(w[j] for j in range(n) if (m >> j) & 1))
-
+    need = n - eps * n + 1e-12 * n
     upper = greedy_cover_count(D, eps)
     for k in range(1, upper + 1):
         for combo in itertools.combinations(masks, k):
             u = 0
             for m in combo:
                 u |= m
-            if mass(u) >= need:
+            if bin(u).count("1") >= need:
                 return k
     return upper
 
@@ -198,13 +192,11 @@ class FeatureMetric:
     weights: np.ndarray    # (d,)
 
     def pair_matrix(self) -> np.ndarray:
+        # G[i, j] sums the weights of the columns where row i reads 1 and row
+        # j reads 0, so G + G.T is exactly symmetric with a zero diagonal
         Xf = self.X.astype(np.float64)
-        Xw = Xf * self.weights
-        G = Xf @ Xw.T
-        a = np.einsum("ij,ij->i", Xf, Xw)
-        D = a[:, None] + a[None, :] - 2 * G
-        np.clip(D, 0, None, out=D)
-        return D
+        G = (Xf * self.weights) @ (1 - Xf).T
+        return G + G.T
 
     def dedup(self) -> "FeatureMetric":
         """Collapse duplicate columns (merging weights) and drop constant
@@ -225,28 +217,27 @@ def feature_entropy_bits(fm: FeatureMetric, eps: float,
                          block_dim: int | None = BLOCK_DIM) -> float:
     """Epsilon-entropy estimate for a feature metric.
 
-    After exact column dedup the metric is estimated directly when its
+    After one exact column dedup the metric is estimated directly when its
     effective dimension fits the sample, and block-additively otherwise:
-    columns are split into weight-balanced blocks, each block is
-    renormalized and estimated at the same eps, and the estimates are
-    summed (covering entropy is additive across independent blocks up to
-    growth-class constants).  block_dim=None disables splitting.
+    the columns are dealt by decreasing weight into ceil(d / block_dim)
+    weight-balanced blocks, each block is renormalized and estimated at the
+    same eps, and the estimates are summed (covering entropy is additive
+    across independent blocks up to growth-class constants).
+    block_dim=None disables splitting.
     """
     fm = fm.dedup()
     d = fm.X.shape[1]
     if d == 0:
         return 0.0
-    if block_dim is None or d <= block_dim:
-        w = fm.weights / fm.weights.sum()
-        D = FeatureMetric(fm.X, w).pair_matrix()
-        return greedy_cover_bits(D, eps)
+    n_blocks = 1 if block_dim is None else math.ceil(d / block_dim)
     order = np.argsort(-fm.weights, kind="stable")
-    n_blocks = math.ceil(d / block_dim)
     total = 0.0
     for b in range(n_blocks):
-        idx = order[b::n_blocks]
-        sub = FeatureMetric(fm.X[:, idx], fm.weights[idx])
-        total += feature_entropy_bits(sub, eps, block_dim)
+        # in dedup's column order, which fixes the summation order
+        idx = np.sort(order[b::n_blocks])
+        w = fm.weights[idx]
+        D = FeatureMetric(fm.X[:, idx], w / w.sum()).pair_matrix()
+        total += greedy_cover_bits(D, eps)
     return total
 
 

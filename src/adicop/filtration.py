@@ -6,7 +6,8 @@ splits on the top mask bit, so the two children are the contiguous halves
 of the leaf array.  The Kantorovich iteration of a leaf semimetric is the
 cheapest hierarchy-preserving matching, computed by recursive child-swap
 minimization; for the discrete metric on a finite alphabet it becomes the
-orbit Hamming distance dist_m under the tree automorphism group.
+orbit Hamming distance dist_m under the tree automorphism group, which
+`kantorovich_pairs` computes vectorized on integer mismatch counts.
 """
 
 from __future__ import annotations
@@ -95,34 +96,35 @@ def kantorovich_bruteforce(rho: Semimetric, c1: OrbitTree, c2: OrbitTree) -> flo
     return best
 
 
-class DiscreteMetric(Semimetric):
-    def dist(self, x, y) -> float:
-        return float(x != y)
-
-
-def dist_m(w1, w2) -> float:
-    """Orbit Hamming distance: fraction of mismatched leaves under the best
-    tree automorphism.  Arguments are equal-length leaf symbol sequences."""
-    w1, w2 = list(w1), list(w2)
-    if len(w1) != len(w2):
-        raise ValueError("leaf counts differ")
-    m = len(w1).bit_length() - 1
-    return kantorovich(DiscreteMetric(), OrbitTree(m, w1), OrbitTree(m, w2))
-
-
 # ---------------------------------------------------------------------------
 # vectorized Kantorovich for symbol trees
 
+def dist_m(w1, w2) -> float:
+    """Orbit Hamming distance: fraction of mismatched leaves under the best
+    tree automorphism, the `kantorovich_pairs` kernel on one pair.
+    Arguments are leaf symbol sequences of the same length 2**m."""
+    w1, w2 = np.asarray(w1), np.asarray(w2)
+    L = len(w1)
+    if len(w2) != L:
+        raise ValueError("leaf counts differ")
+    if L < 1 or L & (L - 1):
+        raise ValueError("leaf count must be 2**depth")
+    return float(kantorovich_pairs(w1, w2))
+
+
 def kantorovich_pairs(sym1: np.ndarray, sym2: np.ndarray) -> np.ndarray:
-    """dist_m between corresponding rows of two (P, 2**m) symbol arrays."""
-    P, L = sym1.shape
-    D = (sym1[:, :, None] != sym2[:, None, :]).astype(np.float32)
-    while D.shape[1] > 1:
-        a, b = D[:, 0::2, :], D[:, 1::2, :]
-        straight = a[:, :, 0::2] + b[:, :, 1::2]
-        crossed = a[:, :, 1::2] + b[:, :, 0::2]
-        D = 0.5 * np.minimum(straight, crossed)
-    return D[:, 0, 0].astype(np.float64)
+    """dist_m between corresponding trees of two (..., 2**m) symbol arrays.
+
+    Child-swap DP from the leaves up: C[..., i, j] is the fewest mismatched
+    leaves in a matching of node i of one tree onto node j of the other.
+    Counts reach at most 2**m, and the root count / 2**m is exact.
+    """
+    L = sym1.shape[-1]
+    C = (sym1[..., :, None] != sym2[..., None, :]).astype(np.min_scalar_type(L))
+    while C.shape[-1] > 1:
+        a, b = C[..., 0::2, :], C[..., 1::2, :]
+        C = np.minimum(a[..., 0::2] + b[..., 1::2], a[..., 1::2] + b[..., 0::2])
+    return C[..., 0, 0] / L
 
 
 def pairwise_dist_matrix(sym: np.ndarray) -> np.ndarray:
@@ -240,7 +242,11 @@ def _split_entropy_bits(sym: np.ndarray, split_flags, eps: float) -> float:
 def lemma17_entropy_estimate(m: int, r: int, q: int, eps: float,
                              n_samples: int = 256, seed: int = 0) -> float:
     """Monte Carlo covering estimate for larger invariant-configuration
-    instances; invariance makes the bottom r levels degenerate."""
+    instances, m <= ORBIT_DEPTH_MAX; invariance makes the bottom r levels
+    degenerate."""
+    _check_orbit_args(m, q, r)
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     sym = sample_invariant_configs(m, r, q, n_samples, rng)
     flags = [j >= r for j in range(m)]

@@ -89,12 +89,6 @@ class TestCovering:
             e = entropy.exact_cover_count(D, eps)
             assert e <= g <= 2 * e + 1
 
-    def test_exact_cover_weights(self):
-        # one heavy point dominates: a single ball suffices
-        D = np.ones((3, 3)) - np.eye(3)
-        w = np.array([98.0, 1.0, 1.0])
-        assert entropy.exact_cover_count(D, 0.05, weights=w) == 1
-
     def test_exact_limit(self):
         with pytest.raises(ValueError):
             entropy.exact_cover_count(np.zeros((30, 30)), 0.1)
@@ -159,15 +153,67 @@ class TestGreedyIncremental:
             entropy.greedy_cover_count(np.ones((4, 4)), 0.1)
 
 
+def reference_pair_matrix(X, w):
+    """Weighted Hamming through the Gram matrix: a_i + a_j - 2 <x_i, w x_j>."""
+    Xf = X.astype(np.float64)
+    Xw = Xf * w
+    G = Xf @ Xw.T
+    a = np.einsum("ij,ij->i", Xf, Xw)
+    D = a[:, None] + a[None, :] - 2 * G
+    np.clip(D, 0, None, out=D)
+    return D
+
+
+def reference_feature_entropy_bits(fm, eps, block_dim):
+    """Block-additive estimate by recursion: every block is deduplicated
+    again before it is estimated."""
+    fm = fm.dedup()
+    d = fm.X.shape[1]
+    if d == 0:
+        return 0.0
+    if block_dim is None or d <= block_dim:
+        D = reference_pair_matrix(fm.X, fm.weights / fm.weights.sum())
+        return entropy.greedy_cover_bits(D, eps)
+    order = np.argsort(-fm.weights, kind="stable")
+    n_blocks = math.ceil(d / block_dim)
+    total = 0.0
+    for b in range(n_blocks):
+        idx = order[b::n_blocks]
+        sub = entropy.FeatureMetric(fm.X[:, idx], fm.weights[idx])
+        total += reference_feature_entropy_bits(sub, eps, block_dim)
+    return total
+
+
+@st.composite
+def feature_instances(draw):
+    """Binary feature matrices whose columns repeat and include constants,
+    with weights integer multiplicities over d (as the averaged cuts
+    give after dedup)."""
+    rng = RNG(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 200))
+    d = draw(st.integers(1, 80))
+    pool = np.hstack([rng.integers(0, 2, (n, draw(st.integers(1, d)))),
+                      np.zeros((n, 1)), np.ones((n, 1))]).astype(np.uint8)
+    X = pool[:, rng.integers(0, pool.shape[1], d)]
+    return entropy.FeatureMetric(X, rng.integers(1, 4, d) / d)
+
+
 class TestFeatureMetric:
     def test_pair_matrix_is_weighted_hamming(self):
         rng = RNG(5)
         X = rng.integers(0, 2, (20, 7)).astype(np.uint8)
         w = rng.random(7)
-        fm = entropy.FeatureMetric(X, w)
-        D = fm.pair_matrix()
-        i, j = 3, 11
-        assert D[i, j] == pytest.approx(np.sum(w * (X[i] != X[j])))
+        D = entropy.FeatureMetric(X, w).pair_matrix()
+        brute = (w * (X[:, None, :] != X[None, :, :])).sum(axis=2)
+        assert np.allclose(D, brute, rtol=0, atol=1e-12)
+        assert np.all(np.diag(D) == 0) and np.array_equal(D, D.T)
+
+    @settings(max_examples=100, deadline=None)
+    @given(feature_instances(), st.sampled_from([0.5, 0.25, 0.1]),
+           st.sampled_from([16, 4, None]))
+    def test_flat_blocks_match_recursion(self, fm, eps, block_dim):
+        assert entropy.feature_entropy_bits(fm, eps, block_dim) == \
+            reference_feature_entropy_bits(fm, eps, block_dim)
 
     def test_dedup_preserves_metric(self):
         rng = RNG(6)

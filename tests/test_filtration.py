@@ -25,6 +25,28 @@ def random_tree(rng, n, dim=3):
     return filtration.OrbitTree(n, [rng.random(dim) for _ in range(1 << n)])
 
 
+class Discrete(Semimetric):
+    def dist(self, x, y):
+        return float(x != y)
+
+
+def generic_dist_m(w1, w2):
+    """dist_m by the generic recursion on the discrete leaf metric."""
+    m = len(w1).bit_length() - 1
+    return filtration.kantorovich(Discrete(), filtration.OrbitTree(m, w1),
+                                  filtration.OrbitTree(m, w2))
+
+
+def random_automorphism_image(rng, w):
+    """w under a uniformly random tree automorphism (a swap per node)."""
+    if len(w) == 1:
+        return w
+    h = len(w) // 2
+    a = random_automorphism_image(rng, w[:h])
+    b = random_automorphism_image(rng, w[h:])
+    return np.concatenate([b, a] if rng.integers(2) else [a, b])
+
+
 class TestKantorovich:
     def test_depth_0(self):
         t1 = filtration.OrbitTree(0, [np.array([1.0])])
@@ -98,9 +120,41 @@ class TestDistM:
         rng = RNG(5)
         sym = rng.integers(0, 3, (10, 8))
         D = filtration.pairwise_dist_matrix(sym)
+        assert np.all(np.diag(D) == 0) and np.array_equal(D, D.T)
         for i in range(10):
             for j in range(i + 1, 10):
-                assert D[i, j] == pytest.approx(filtration.dist_m(sym[i], sym[j]))
+                assert D[i, j] == generic_dist_m(list(sym[i]), list(sym[j]))
+
+    def test_kernel_matches_generic_recursion(self):
+        # random pairs, near-automorphic pairs (an automorphism image with
+        # a few leaves redrawn) and pairs with no common symbol, at every
+        # depth up to 8, where the count 2**m first needs uint16
+        rng = RNG(11)
+        for m in range(9):
+            for q in range(2, 6):
+                pairs = []
+                for _ in range(2):
+                    w1 = rng.integers(0, q, 1 << m)
+                    near = random_automorphism_image(rng, w1)
+                    hit = rng.integers(0, 1 << m, rng.integers(0, 3))
+                    near[hit] = rng.integers(0, q, len(hit))
+                    pairs += [(w1, rng.integers(0, q, 1 << m)), (w1, near),
+                              (w1, w1 + q)]
+                want = [generic_dist_m(list(a), list(b)) for a, b in pairs]
+                assert [filtration.dist_m(a, b) for a, b in pairs] == want
+                sym1, sym2 = (np.array(side) for side in zip(*pairs))
+                assert filtration.kantorovich_pairs(sym1, sym2).tolist() == want
+                # leading axes carry over: (2, 3, 2**m) gives (2, 3)
+                got = filtration.kantorovich_pairs(sym1.reshape(2, 3, -1),
+                                                   sym2.reshape(2, 3, -1))
+                assert got.tolist() == np.reshape(want, (2, 3)).tolist()
+
+    @pytest.mark.parametrize("w1,w2", [
+        ([], []), ([0, 1, 2], [0, 1, 2]), ([0, 1, 1, 0, 1, 0], [0] * 6),
+        ([0, 1], [0, 1, 1, 0])])
+    def test_rejects_bad_lengths(self, w1, w2):
+        with pytest.raises(ValueError):
+            filtration.dist_m(w1, w2)
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +309,14 @@ class TestLemma17:
                 for m in range(2, 7)]
         cmp = asymp_compare(bits, [2 ** m for m in range(2, 7)])
         assert cmp["pass"]
+
+    @pytest.mark.parametrize("m,r,q,n_samples", [
+        (2, 3, 2, 256), (2, -1, 2, 256), (2, 0, 0, 256),
+        (filtration.ORBIT_DEPTH_MAX + 1, 0, 2, 256), (2, 0, 2, 0)])
+    def test_estimator_rejects_bad_input(self, m, r, q, n_samples):
+        with pytest.raises(ValueError, match="must"):
+            filtration.lemma17_entropy_estimate(m, r, q, 0.1,
+                                                n_samples=n_samples)
 
     def test_estimator_slope_with_r(self):
         bits = [filtration.lemma17_entropy_estimate(1 + d, 1, 2, 0.1,
