@@ -8,13 +8,14 @@ instead of O(balls * n^2), with the same counts as plain greedy.  An exact
 set-cover oracle is available for tiny instances to calibrate the greedy
 step.
 
-Averaged cut semimetrics are weighted Hamming distances over an explicit
-feature matrix.  Since a fixed sample cannot count covers beyond roughly
-log2(sample size) bits, high-dimensional feature metrics are estimated
-block-additively: duplicate feature columns are collapsed exactly, the
-remaining columns are split into blocks of bounded effective dimension,
-and the per-block greedy estimates are summed.  Summing is the subadditive
-covering bound for a split rho <= rho_1 + rho_2 and is exact up to the
+Averaged cut semimetrics are weighted Hamming distances over a binary
+feature matrix with integer column multiplicities, counted by XOR and
+popcount on bit-packed rows.  A fixed sample cannot count covers beyond
+about log2(sample size) bits, so high-dimensional feature metrics are
+estimated block-additively: duplicate columns are collapsed exactly, the
+rest are split into blocks of bounded effective dimension, and the
+per-block greedy estimates are summed.  Summing is the subadditive covering
+bound for a split rho <= rho_1 + rho_2 and is exact up to the
 multiplicative constants that the growth-class comparison absorbs.
 """
 
@@ -24,6 +25,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
@@ -114,23 +117,29 @@ def _max_uncovered(eps: float, n: int) -> int:
     return math.floor(Fraction(eps) * n - Fraction(1e-9))
 
 
-def greedy_cover_count(D: np.ndarray, eps: float) -> int:
+def _cover_relation(D: np.ndarray, unit, eps: float) -> np.ndarray:
+    # the one radius rule: D / unit <= eps/2, with slack for float rounding
+    return D <= unit * (eps / 2 + 1e-12)
+
+
+def greedy_cover_count(cover: np.ndarray, eps: float) -> int:
     """Balls of radius eps/2 around sample points, greedily chosen to cover
     the most uncovered points, until fewer than an eps fraction is left.
 
-    gains[i] counts the uncovered points in ball i; covering point j
-    subtracts column j of the cover relation, which costs O(n^2 + sum of
-    newly covered * n) per call.  The gains are exact integers, so argmax
-    ties and the count are those of plain greedy.  D need not be symmetric.
+    cover[i, j] is the bool relation "j lies in the ball around i"; it
+    need not be symmetric.  gains[i] counts the uncovered points in ball i;
+    covering point j subtracts column j of the relation, which costs
+    O(n^2 + sum of newly covered * n) per call.  The gains are exact
+    integers, so argmax ties and the count are those of plain greedy.
     """
+    if cover.dtype != bool:
+        raise TypeError(f"cover must be a bool relation, got {cover.dtype}")
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and positive, got {eps!r}")
-    n = D.shape[0]
-    cover = D <= eps / 2 + 1e-12
     cover_t = np.ascontiguousarray(cover.T)
     gains = cover.sum(axis=1)
-    uncovered = np.ones(n, dtype=bool)
-    allow = _max_uncovered(eps, n)
+    uncovered = np.ones(len(cover), dtype=bool)
+    allow = _max_uncovered(eps, len(cover))
     balls = 0
     while np.count_nonzero(uncovered) > allow:
         c = int(np.argmax(gains))
@@ -144,37 +153,29 @@ def greedy_cover_count(D: np.ndarray, eps: float) -> int:
 
 
 def greedy_cover_bits(D: np.ndarray, eps: float) -> float:
-    return math.log2(greedy_cover_count(D, eps))
+    return math.log2(greedy_cover_count(_cover_relation(D, 1, eps), eps))
 
 
 EXACT_COVER_LIMIT = 24
 
 
 def exact_cover_count(D: np.ndarray, eps: float) -> int:
-    """Minimal number of eps/2-balls centered at points leaving less than an
-    eps fraction of the points uncovered; exhaustive, tiny instances only."""
+    """Minimal number of eps/2-balls centered at points leaving no more
+    points uncovered than the greedy may; exhaustive, tiny instances only."""
     n = D.shape[0]
     if n > EXACT_COVER_LIMIT:
         raise ValueError(f"exact covering limited to {EXACT_COVER_LIMIT} points")
-    cover = D <= eps / 2 + 1e-12
-    masks = []
-    for i in range(n):
-        m = 0
-        for j in np.nonzero(cover[i])[0]:
-            m |= 1 << int(j)
-        masks.append(m)
+    cover = _cover_relation(D, 1, eps)
+    masks = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in cover]
     masks = sorted(set(masks), key=lambda m: -bin(m).count("1"))
     # drop masks dominated by another
     masks = [m for i, m in enumerate(masks)
              if not any(m | o == o for o in masks[:i])]
-    need = n - eps * n + 1e-12 * n
-    upper = greedy_cover_count(D, eps)
+    need = n - _max_uncovered(eps, n)
+    upper = greedy_cover_count(cover, eps)
     for k in range(1, upper + 1):
         for combo in itertools.combinations(masks, k):
-            u = 0
-            for m in combo:
-                u |= m
-            if bin(u).count("1") >= need:
+            if bin(reduce(or_, combo)).count("1") >= need:
                 return k
     return upper
 
@@ -184,30 +185,40 @@ def exact_cover_count(D: np.ndarray, eps: float) -> int:
 
 @dataclass
 class FeatureMetric:
-    """Weighted Hamming over binary feature columns: an explicit form of an
-    averaged cut semimetric.  Weights need not sum to one (constant columns
-    contribute nothing and may be dropped exactly)."""
+    """Weighted Hamming over binary feature columns with integer column
+    multiplicities w, sum_c w_c [x_ic != x_jc] / W with W = sum_c w_c: an
+    explicit form of an averaged cut semimetric."""
 
     X: np.ndarray          # (n_samples, d) uint8
-    weights: np.ndarray    # (d,)
+    weights: np.ndarray    # (d,) integer multiplicities
 
     def pair_matrix(self) -> np.ndarray:
-        # G[i, j] sums the weights of the columns where row i reads 1 and row
-        # j reads 0, so G + G.T is exactly symmetric with a zero diagonal
-        Xf = self.X.astype(np.float64)
-        G = (Xf * self.weights) @ (1 - Xf).T
-        return G + G.T
+        """Integer counts M = metric * W.  Each 16-bit word of packed
+        columns of multiplicity k adds k * popcount(x_i ^ x_j); k is cast to
+        the dtype of W (a Python int would multiply in uint8 and wrap)."""
+        dt = np.min_scalar_type(int(self.weights.sum()))
+        M = np.zeros((len(self.X),) * 2, dt)
+        for k in np.unique(self.weights):
+            cols = np.ascontiguousarray(self.X[:, self.weights == k])
+            packed = np.packbits(cols, axis=1)
+            packed = np.pad(packed, ((0, 0), (0, packed.shape[1] % 2)))
+            for word in packed.view(np.uint16).T:
+                M += np.bitwise_count(word[:, None] ^ word) * dt.type(k)
+        return M
 
     def dedup(self) -> "FeatureMetric":
-        """Collapse duplicate columns (merging weights) and drop constant
-        columns; the induced metric on the sample is unchanged."""
+        """Merge duplicate columns (adding multiplicities), drop constant
+        ones; the metric is unchanged.  Order: np.unique(X.T, axis=0)'s."""
         if self.X.shape[1] == 0:
             return self
-        cols, inv = np.unique(self.X.T, axis=0, return_inverse=True)
-        wsum = np.zeros(cols.shape[0])
+        packed = np.packbits(np.ascontiguousarray(self.X.T), axis=1)
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
+        cols = self.X[:, first]
+        wsum = np.zeros(len(first), self.weights.dtype)
         np.add.at(wsum, inv, self.weights)
-        keep = ~np.all(cols == cols[:, :1], axis=1)
-        return FeatureMetric(cols[keep].T.copy(), wsum[keep])
+        keep = ~np.all(cols == cols[:1], axis=0)
+        return FeatureMetric(cols[:, keep], wsum[keep])
 
 
 BLOCK_DIM = 16
@@ -220,9 +231,9 @@ def feature_entropy_bits(fm: FeatureMetric, eps: float,
     After one exact column dedup the metric is estimated directly when its
     effective dimension fits the sample, and block-additively otherwise:
     the columns are dealt by decreasing weight into ceil(d / block_dim)
-    weight-balanced blocks, each block is renormalized and estimated at the
-    same eps, and the estimates are summed (covering entropy is additive
-    across independent blocks up to growth-class constants).
+    weight-balanced blocks, each block is estimated at the same eps over
+    its own total weight, and the estimates are summed (covering entropy is
+    additive across independent blocks up to growth-class constants).
     block_dim=None disables splitting.
     """
     fm = fm.dedup()
@@ -235,9 +246,9 @@ def feature_entropy_bits(fm: FeatureMetric, eps: float,
     for b in range(n_blocks):
         # in dedup's column order, which fixes the summation order
         idx = np.sort(order[b::n_blocks])
-        w = fm.weights[idx]
-        D = FeatureMetric(fm.X[:, idx], w / w.sum()).pair_matrix()
-        total += greedy_cover_bits(D, eps)
+        block = FeatureMetric(fm.X[:, idx], fm.weights[idx])
+        cover = _cover_relation(block.pair_matrix(), block.weights.sum(), eps)
+        total += math.log2(greedy_cover_count(cover, eps))
     return total
 
 
@@ -295,7 +306,7 @@ def group_feature_metric(w: np.ndarray, n: int) -> FeatureMetric:
     """The cut on w(0) averaged over D_n: normalized Hamming between the
     restrictions of the configurations to D_n."""
     d = 1 << n
-    return FeatureMetric(w[:, :d], np.full(d, 1.0 / d))
+    return FeatureMetric(w[:, :d], np.ones(d, dtype=np.int64))
 
 
 def z_feature_metric(w: np.ndarray, alpha: np.ndarray, t: int) -> FeatureMetric:
@@ -310,7 +321,7 @@ def z_feature_metric(w: np.ndarray, alpha: np.ndarray, t: int) -> FeatureMetric:
     j = np.arange(t, dtype=np.int64)
     masks = (alpha[:, None] ^ ((alpha[:, None] + j[None, :]) % size))
     feats = np.take_along_axis(w, masks, axis=1)
-    return FeatureMetric(feats, np.full(t, 1.0 / t))
+    return FeatureMetric(feats, np.ones(t, dtype=np.int64))
 
 
 def z_aligned_metric(w: np.ndarray, alpha: np.ndarray, t: int) -> FeatureMetric:
@@ -329,7 +340,7 @@ def z_aligned_metric(w: np.ndarray, alpha: np.ndarray, t: int) -> FeatureMetric:
     carry = (high ^ ((high + bump) % (size >> m))) << m
     cols = carry[:, None] | np.arange(t, dtype=np.int64)[None, :]
     feats = np.take_along_axis(w, cols, axis=1)
-    return FeatureMetric(feats, np.full(t, 1.0 / t))
+    return FeatureMetric(feats, np.ones(t, dtype=np.int64))
 
 
 def check_scales(mode: str, scales, samples: int, resolution: int,

@@ -128,14 +128,13 @@ def kantorovich_pairs(sym1: np.ndarray, sym2: np.ndarray) -> np.ndarray:
 
 
 def pairwise_dist_matrix(sym: np.ndarray) -> np.ndarray:
-    """Full dist_m matrix between the rows of one (S, 2**m) symbol array."""
-    S = sym.shape[0]
-    iu, ju = np.triu_indices(S, k=1)
-    vals = kantorovich_pairs(sym[iu], sym[ju])
-    D = np.zeros((S, S))
-    D[iu, ju] = vals
-    D[ju, iu] = vals
-    return D
+    """dist_m matrix of the rows of a (S, 2**m) array, from distinct rows."""
+    rows, inv = np.unique(sym, axis=0, return_inverse=True)
+    iu, ju = np.triu_indices(rows.shape[0], k=1)
+    vals = kantorovich_pairs(rows[iu], rows[ju])
+    D = np.zeros((rows.shape[0],) * 2)
+    D[iu, ju] = D[ju, iu] = vals
+    return D[np.ix_(inv, inv)]
 
 
 # ---------------------------------------------------------------------------

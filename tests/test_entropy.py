@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -64,10 +65,15 @@ class TestSemimetrics:
             checked += 1
 
 
+def within(D, eps):
+    """The float layer's cover relation."""
+    return D <= eps / 2 + 1e-12
+
+
 class TestCovering:
     def test_greedy_zero_diameter(self):
         D = np.zeros((10, 10))
-        assert entropy.greedy_cover_count(D, 0.25) == 1
+        assert entropy.greedy_cover_count(within(D, 0.25), 0.25) == 1
 
     def test_greedy_discrete(self):
         # 4 well-separated clusters, eps small: one ball per cluster minus
@@ -75,9 +81,9 @@ class TestCovering:
         D = np.ones((8, 8))
         for c in range(4):
             D[2 * c:2 * c + 2, 2 * c:2 * c + 2] = 0.0
-        assert entropy.greedy_cover_count(D, 0.1) == 4
+        assert entropy.greedy_cover_count(within(D, 0.1), 0.1) == 4
         # eps = 0.3 allows leaving 2 of 8 points uncovered
-        assert entropy.greedy_cover_count(D, 0.3) == 3
+        assert entropy.greedy_cover_count(within(D, 0.3), 0.3) == 3
 
     def test_greedy_matches_exact_small(self):
         rng = RNG(3)
@@ -85,13 +91,34 @@ class TestCovering:
             pts = rng.random((12, 2))
             D = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
             eps = rng.uniform(0.2, 0.8)
-            g = entropy.greedy_cover_count(D, eps)
+            g = entropy.greedy_cover_count(within(D, eps), eps)
             e = entropy.exact_cover_count(D, eps)
             assert e <= g <= 2 * e + 1
 
     def test_exact_limit(self):
         with pytest.raises(ValueError):
             entropy.exact_cover_count(np.zeros((30, 30)), 0.1)
+
+    def test_exact_stops_like_greedy(self):
+        # two points at distance 1, eps just above 1/2: eps * n exceeds one
+        # point, but the greedy may leave floor(eps * n - 1e-9) = 0 points
+        # uncovered, and so may the exact cover
+        D = np.array([[0.0, 1.0], [1.0, 0.0]])
+        eps = 0.5 + 1e-10
+        assert entropy.greedy_cover_count(within(D, eps), eps) == 2
+        assert entropy.exact_cover_count(D, eps) == 2
+
+    def test_radius_rule_absorbs_float_rounding(self):
+        # 0.1 + 0.2 exceeds 0.3 by one ulp; the rule's 1e-12 slack keeps
+        # such distances inside a ball of radius 0.3
+        D = np.full((10, 10), 0.1 + 0.2)
+        np.fill_diagonal(D, 0.0)
+        assert entropy.greedy_cover_bits(D, 0.6) == 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
+    def test_greedy_refuses_non_bool(self, dtype):
+        with pytest.raises(TypeError):
+            entropy.greedy_cover_count(np.zeros((5, 5), dtype), 0.25)
 
     def test_monotone_in_eps(self):
         # Lemma-10-style monotonicity: entropy non-increasing in eps
@@ -104,7 +131,7 @@ class TestCovering:
 
 def reference_greedy(D, eps):
     """Plain greedy: recompute every ball's gain with a matmul per ball."""
-    cover = D <= eps / 2 + 1e-12
+    cover = within(D, eps)
     uncovered = np.ones(D.shape[0])
     balls = 0
     while uncovered.sum() > entropy._max_uncovered(eps, D.shape[0]):
@@ -133,102 +160,124 @@ class TestGreedyIncremental:
     @given(cover_instances(200))
     def test_matches_plain_greedy(self, inst):
         D, eps = inst
-        assert entropy.greedy_cover_count(D, eps) == reference_greedy(D, eps)
+        assert entropy.greedy_cover_count(within(D, eps), eps) == \
+            reference_greedy(D, eps)
 
     @settings(max_examples=100, deadline=None)
     @given(cover_instances(12))
     def test_exact_at_most_greedy(self, inst):
         D, eps = inst
         assert entropy.exact_cover_count(D, eps) <= \
-            entropy.greedy_cover_count(D, eps)
+            entropy.greedy_cover_count(within(D, eps), eps)
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_eps(self, eps):
         with pytest.raises(ValueError):
-            entropy.greedy_cover_count(np.zeros((5, 5)), eps)
+            entropy.greedy_cover_count(np.ones((5, 5), bool), eps)
 
     def test_rejects_points_in_no_ball(self):
-        # a positive diagonal leaves every point outside its own ball
+        # an empty diagonal leaves every point outside its own ball
         with pytest.raises(ValueError):
-            entropy.greedy_cover_count(np.ones((4, 4)), 0.1)
+            entropy.greedy_cover_count(np.zeros((4, 4), bool), 0.1)
 
 
 def reference_pair_matrix(X, w):
-    """Weighted Hamming through the Gram matrix: a_i + a_j - 2 <x_i, w x_j>."""
+    """The float64 weighted Hamming matrix: G[i, j] sums the weights of the
+    columns where row i reads 1 and row j reads 0, and D = G + G.T."""
     Xf = X.astype(np.float64)
-    Xw = Xf * w
-    G = Xf @ Xw.T
-    a = np.einsum("ij,ij->i", Xf, Xw)
-    D = a[:, None] + a[None, :] - 2 * G
-    np.clip(D, 0, None, out=D)
-    return D
+    G = (Xf * w) @ (1 - Xf).T
+    return G + G.T
 
 
-def reference_feature_entropy_bits(fm, eps, block_dim):
-    """Block-additive estimate by recursion: every block is deduplicated
-    again before it is estimated."""
-    fm = fm.dedup()
-    d = fm.X.shape[1]
-    if d == 0:
-        return 0.0
-    if block_dim is None or d <= block_dim:
-        D = reference_pair_matrix(fm.X, fm.weights / fm.weights.sum())
-        return entropy.greedy_cover_bits(D, eps)
-    order = np.argsort(-fm.weights, kind="stable")
-    n_blocks = math.ceil(d / block_dim)
-    total = 0.0
-    for b in range(n_blocks):
-        idx = order[b::n_blocks]
-        sub = entropy.FeatureMetric(fm.X[:, idx], fm.weights[idx])
-        total += reference_feature_entropy_bits(sub, eps, block_dim)
-    return total
+def reference_dedup(X, w):
+    """Dedup on unpacked columns with float weights."""
+    cols, inv = np.unique(X.T, axis=0, return_inverse=True)
+    wsum = np.zeros(cols.shape[0])
+    np.add.at(wsum, inv, w)
+    keep = ~np.all(cols == cols[:, :1], axis=1)
+    return cols[keep].T.copy(), wsum[keep]
+
+
+def reference_block_matrices(fm, block_dim):
+    """The float layer as the constructors fed it: every column repeated by
+    its multiplicity with weight 1/W, float dedup, blocks dealt by
+    decreasing weight, each block's weights renormalized to one."""
+    X = np.repeat(fm.X, fm.weights, axis=1)
+    X, w = reference_dedup(X, np.full(X.shape[1], 1 / X.shape[1]))
+    d = X.shape[1]
+    n_blocks = 1 if block_dim is None else math.ceil(d / block_dim)
+    order = np.argsort(-w, kind="stable")
+    blocks = [np.sort(order[b::n_blocks]) for b in range(n_blocks)] if d else []
+    return [reference_pair_matrix(X[:, idx], w[idx] / w[idx].sum())
+            for idx in blocks]
 
 
 @st.composite
 def feature_instances(draw):
     """Binary feature matrices whose columns repeat and include constants,
-    with weights integer multiplicities over d (as the averaged cuts
-    give after dedup)."""
+    with integer multiplicities up to 1, 3 or 300 (total weight past 255)."""
     rng = RNG(draw(st.integers(0, 2 ** 32 - 1)))
     n = draw(st.integers(1, 200))
     d = draw(st.integers(1, 80))
     pool = np.hstack([rng.integers(0, 2, (n, draw(st.integers(1, d)))),
                       np.zeros((n, 1)), np.ones((n, 1))]).astype(np.uint8)
     X = pool[:, rng.integers(0, pool.shape[1], d)]
-    return entropy.FeatureMetric(X, rng.integers(1, 4, d) / d)
+    top = draw(st.sampled_from([1, 3, 300]))
+    return entropy.FeatureMetric(X, rng.integers(1, top + 1, d))
 
 
 class TestFeatureMetric:
     def test_pair_matrix_is_weighted_hamming(self):
-        rng = RNG(5)
-        X = rng.integers(0, 2, (20, 7)).astype(np.uint8)
-        w = rng.random(7)
-        D = entropy.FeatureMetric(X, w).pair_matrix()
-        brute = (w * (X[:, None, :] != X[None, :, :])).sum(axis=2)
-        assert np.allclose(D, brute, rtol=0, atol=1e-12)
-        assert np.all(np.diag(D) == 0) and np.array_equal(D, D.T)
+        # also rows of more than one 16-bit word and of more than 64 bits,
+        # n not a multiple of 8, W up to uint8, uint16 and uint32
+        for n, d, top in [(20, 7, 4), (9, 17, 1), (77, 70, 300),
+                          (203, 90, 2000)]:
+            rng = RNG(n)
+            X = rng.integers(0, 2, (n, d)).astype(np.uint8)
+            w = rng.integers(1, top + 1, d)
+            M = entropy.FeatureMetric(X, w).pair_matrix()
+            assert M.dtype == np.min_scalar_type(w.sum())
+            brute = (w * (X[:, None, :] != X[None, :, :])).sum(axis=2)
+            assert np.array_equal(M, brute)
 
     @settings(max_examples=100, deadline=None)
     @given(feature_instances(), st.sampled_from([0.5, 0.25, 0.1]),
            st.sampled_from([16, 4, None]))
-    def test_flat_blocks_match_recursion(self, fm, eps, block_dim):
-        assert entropy.feature_entropy_bits(fm, eps, block_dim) == \
-            reference_feature_entropy_bits(fm, eps, block_dim)
+    def test_integer_layer_matches_float_layer(self, fm, eps, block_dim):
+        # the cover relation of every block is bit-identical to the float
+        # layer's, and so is the estimate
+        with mock.patch.object(entropy, "greedy_cover_count",
+                               wraps=entropy.greedy_cover_count) as greedy:
+            bits = entropy.feature_entropy_bits(fm, eps, block_dim)
+        blocks = reference_block_matrices(fm, block_dim)
+        assert len(greedy.call_args_list) == len(blocks)
+        for call, D in zip(greedy.call_args_list, blocks):
+            assert np.array_equal(call.args[0], within(D, eps))
+        assert bits == sum(math.log2(reference_greedy(D, eps)) for D in blocks)
+
+    @settings(max_examples=100, deadline=None)
+    @given(feature_instances())
+    def test_dedup_keeps_unique_column_order(self, fm):
+        # block assignment depends on this order
+        X, w = reference_dedup(fm.X, fm.weights)
+        dd = fm.dedup()
+        assert np.array_equal(dd.X, X) and np.array_equal(dd.weights, w)
+        assert dd.weights.dtype == fm.weights.dtype
 
     def test_dedup_preserves_metric(self):
         rng = RNG(6)
         X = rng.integers(0, 2, (15, 4)).astype(np.uint8)
         X = np.hstack([X, X[:, :2], np.zeros((15, 1), np.uint8)])
-        w = rng.random(7)
+        w = rng.integers(1, 5, 7)
         fm = entropy.FeatureMetric(X, w)
         dd = fm.dedup()
         assert dd.X.shape[1] <= 4
-        assert np.allclose(fm.pair_matrix(), dd.pair_matrix())
+        assert np.array_equal(fm.pair_matrix(), dd.pair_matrix())
 
     def test_block_additive_reduces_to_direct(self):
         rng = RNG(7)
         X = rng.integers(0, 2, (50, 6)).astype(np.uint8)
-        fm = entropy.FeatureMetric(X, np.full(6, 1 / 6))
+        fm = entropy.FeatureMetric(X, np.ones(6, dtype=np.int64))
         assert entropy.feature_entropy_bits(fm, 0.25) == \
             entropy.feature_entropy_bits(fm, 0.25, block_dim=None)
 

@@ -125,6 +125,17 @@ class TestDistM:
             for j in range(i + 1, 10):
                 assert D[i, j] == generic_dist_m(list(sym[i]), list(sym[j]))
 
+    def test_repeated_rows_match_all_pairs(self):
+        # rows drawn from a pool of six repeat, as sampled symbol trees do;
+        # distances between distinct rows, expanded, equal all pairs
+        rng = RNG(12)
+        sym = rng.integers(0, 2, (6, 8))[rng.integers(0, 6, 40)]
+        iu, ju = np.triu_indices(40, k=1)
+        brute = np.zeros((40, 40))
+        brute[iu, ju] = brute[ju, iu] = filtration.kantorovich_pairs(
+            sym[iu], sym[ju])
+        assert np.array_equal(filtration.pairwise_dist_matrix(sym), brute)
+
     def test_kernel_matches_generic_recursion(self):
         # random pairs, near-automorphic pairs (an automorphism image with
         # a few leaves redrawn) and pairs with no common symbol, at every
