@@ -7,10 +7,11 @@ type of a named measure) and `entropy` (one ad-hoc estimate).
 
 Reproducibility: every run is driven by a root seed (flag, config file or
 the ADICOP_SEED environment variable).  Work is cut into a fixed number of
-shards, shard s drawing from a generator seeded `seed XOR s`; workers only
-set the parallelism and aggregation is order-independent, so outputs are
-byte-identical for any worker count.  Output files echo the full config in
-their header.
+shards: scaling shard s draws from a generator seeded `seed XOR s`, and
+classify gives each (k, shard) a generator spawned from
+`default_rng(seed)`.  Workers only set the parallelism and shards are
+joined in a fixed order, so outputs are byte-identical for any worker
+count.  Output files echo the full config in their header.
 
 Exit codes: 0 pass, 1 check failure, 2 usage error (a malformed command
 line or config file, bad input reported before any sampling starts, or an
@@ -27,15 +28,14 @@ import math
 import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import coding, dyadic, filtration, graph, measures
 from .entropy import (EntropyCurve, asymp_compare, check_scales,
                       scaling_curve, sigma_target_d, sigma_target_z)
+from .measures import run_shards, shard_sizes
 
-N_SHARDS = 4
 SEED_ENV = "ADICOP_SEED"
 
 
@@ -96,22 +96,8 @@ def load_config(path: str) -> list[str]:
     return out
 
 
-def shard_sizes(total: int) -> list[int]:
-    base, rem = divmod(total, N_SHARDS)
-    return [base + (1 if s < rem else 0) for s in range(N_SHARDS)]
-
-
 def shard_seed(seed: int, shard: int) -> int:
     return seed ^ shard
-
-
-def run_shards(fn, args_per_shard, workers: int):
-    """Evaluate fn over shards, results in shard order regardless of
-    scheduling."""
-    if workers <= 1:
-        return [fn(*a) for a in args_per_shard]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda a: fn(*a), args_per_shard))
 
 
 def config_header(cfg: dict) -> list[str]:
@@ -255,7 +241,7 @@ def cmd_oracle(args, cfg) -> int:
 # scaling
 
 def draw_sharded(sampler, samples: int, seed: int, workers: int) -> dict:
-    """Draw `samples` rows in N_SHARDS shards, shard s from a generator
+    """Draw `samples` rows in `shard_sizes` shards, shard s from a generator
     seeded seed XOR s, joined in shard order: configurations w, plus digit
     values alpha from omega^sigma samplers."""
     def draw(s, size):
@@ -357,29 +343,6 @@ def build_sampler(spec: str, M: int):
     raise UsageError(f"unknown measure spec {spec!r}")
 
 
-def classify_sharded(sampler, k_max, L, n_accept, tol, seed, workers):
-    """Sharded form of the theta-ladder classifier: per (k, shard) counts are
-    accumulated by addition, so aggregation is order-independent."""
-    sizes = shard_sizes(n_accept)
-    jobs = [(k, s, sizes[s]) for k in range(k_max + 2)
-            for s in range(N_SHARDS) if sizes[s]]
-
-    def work(k, s, size):
-        rng = np.random.default_rng(shard_seed(seed, s) + (k << 32))
-        table, acc = measures.project_theta(sampler, k, 0, L, size, rng)
-        return k, table.counts, acc * size
-
-    results = run_shards(work, jobs, workers)
-    counts = {k: np.zeros(1 << L) for k in range(k_max + 2)}
-    acc_mass = {k: 0.0 for k in range(k_max + 2)}
-    for k, c, am in results:
-        counts[k] += c
-        acc_mass[k] += am
-    return measures.theta_verdict(
-        [measures.CylinderTable(counts[k], L, -L) for k in range(k_max + 2)],
-        [acc_mass[k] / n_accept for k in range(k_max + 2)], tol, n_accept)
-
-
 MAX_CYL_LEN = 20  # the cylinder table has 2**cyl_len cells
 MAX_M = 62  # digit values alpha < 2**M are int64 draws
 
@@ -403,9 +366,9 @@ def cmd_classify(args, cfg) -> int:
         raise UsageError(f"cyl-len must lie in [1, {MAX_CYL_LEN}], "
                          f"got {args.cyl_len}")
     sampler = build_sampler(args.spec, args.M)
-    report = classify_sharded(sampler, args.kmax, args.cyl_len,
-                              args.n_accept, args.tol, args.seed,
-                              args.workers)
+    report = measures.classify_periodic_type(
+        sampler, args.kmax, args.cyl_len, args.n_accept, args.tol,
+        np.random.default_rng(args.seed), args.workers)
     report["config"] = cfg
     report["version"] = version_string()
     report["seed"] = args.seed

@@ -119,7 +119,12 @@ def _max_uncovered(eps: float, n: int) -> int:
 
 def _cover_relation(D: np.ndarray, unit, eps: float) -> np.ndarray:
     # the one radius rule: D / unit <= eps/2, with slack for float rounding
-    return D <= unit * (eps / 2 + 1e-12)
+    bound = unit * (eps / 2 + 1e-12)
+    if D.dtype.kind in "iu" and math.isfinite(bound):
+        # integer counts: the integer floor decides the same, without a
+        # float64 pass over D
+        bound = math.floor(bound)
+    return D <= bound
 
 
 def greedy_cover_count(cover: np.ndarray, eps: float) -> int:

@@ -9,14 +9,9 @@ Two sampler families:
   covering products eta x m, measures of periodic type k and the aperiodic
   skew products built from a base with an odometer quotient.
 
-A symbolic draw has two phases.  `variates(n, lo, hi, rng)` draws every
-random variate of n rows (uniforms, offsets, odometer values, shifts and
-the digit value alpha) as a dict of per-row arrays;
-`render_rows(v, rows, lo, hi)` builds the windows on [lo, hi] of the
-chosen rows from those variates alone.  `draw` is the two composed over
-all rows.  Since alpha never depends on a window, theta-projection rejects
-on alpha and renders only the rows it keeps, while the generator advances
-exactly as it would for full draws.
+Every symbolic `draw(n, lo, hi, rng, k, r)` returns n rows whose digit
+value alpha satisfies alpha = r (mod 2**k), drawn from the law conditioned
+on that event; k = 0 is the unconditioned law.
 
 Empirical measures are cylinder-frequency tables on length-L windows;
 total variation between tables is the working distance throughout.
@@ -25,6 +20,7 @@ total variation between tables is the working distance throughout.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -78,10 +74,10 @@ class OmegaSigmaSampler(MSigmaSampler):
 # ---------------------------------------------------------------------------
 # base measures on I^Z
 
-def _rendered(sampler, v: dict, lo: int, hi: int, **extra) -> dict:
-    """A full draw: the variates plus the windows of every row."""
-    return {**v, "y": sampler.render_rows(v, slice(None), lo, hi), "lo": lo,
-            **extra}
+def _conditioned(rng, n: int, bits: int, k: int, r: int) -> np.ndarray:
+    """n uniform values below 2**bits conditioned on r modulo 2**k (k <= bits);
+    with k = 0 this is one plain `integers` call."""
+    return r + (rng.integers(0, 1 << (bits - k), size=n, dtype=np.int64) << k)
 
 
 class BernoulliBase:
@@ -94,14 +90,9 @@ class BernoulliBase:
             raise ValueError("p must be a probability")
         self.p = p
 
-    def variates(self, n: int, lo: int, hi: int, rng) -> dict:
-        return {"u": rng.random(size=(n, hi - lo + 1))}
-
-    def render_rows(self, v: dict, rows, lo: int, hi: int) -> np.ndarray:
-        return (v["u"][rows] < self.p).astype(np.uint8)
-
     def draw(self, n: int, lo: int, hi: int, rng) -> dict:
-        return _rendered(self, self.variates(n, lo, hi, rng), lo, hi)
+        y = (rng.random(size=(n, hi - lo + 1)) < self.p).astype(np.uint8)
+        return {"y": y, "lo": lo}
 
 
 class AtomicBase:
@@ -118,15 +109,10 @@ class AtomicBase:
             *(int(d) for d in np.diff(self.shifts)), len(self.word)) \
             if len(self.shifts) > 1 else len(self.word)
 
-    def variates(self, n: int, lo: int, hi: int, rng) -> dict:
-        return {"off": self.shifts[rng.integers(0, len(self.shifts), size=n)]}
-
-    def render_rows(self, v: dict, rows, lo: int, hi: int) -> np.ndarray:
-        pos = v["off"][rows][:, None] + np.arange(lo, hi + 1)[None, :]
-        return self.word[pos % len(self.word)]
-
     def draw(self, n: int, lo: int, hi: int, rng) -> dict:
-        return _rendered(self, self.variates(n, lo, hi, rng), lo, hi)
+        off = self.shifts[rng.integers(0, len(self.shifts), size=n)]
+        pos = off[:, None] + np.arange(lo, hi + 1)[None, :]
+        return {"y": self.word[pos % len(self.word)], "lo": lo}
 
 
 class ToeplitzBase:
@@ -151,14 +137,11 @@ class ToeplitzBase:
         odd_positions = 0xAAAAAAAAAAAAAAA  # bits 1, 3, 5, ...
         return ((lowbit & odd_positions) != 0).astype(np.uint8)
 
-    def variates(self, n: int, lo: int, hi: int, rng) -> dict:
-        return {"val": rng.integers(0, 1 << self.R, size=n, dtype=np.int64)}
-
-    def render_rows(self, v: dict, rows, lo: int, hi: int) -> np.ndarray:
-        return self.render(v["val"][rows], lo, hi)
-
-    def draw(self, n: int, lo: int, hi: int, rng) -> dict:
-        return _rendered(self, self.variates(n, lo, hi, rng), lo, hi)
+    def draw(self, n: int, lo: int, hi: int, rng, k: int = 0,
+             r: int = 0) -> dict:
+        """n rows with the odometer value conditioned on r modulo 2**k."""
+        val = _conditioned(rng, n, self.R, k, r)
+        return {"val": val, "y": self.render(val, lo, hi), "lo": lo}
 
 
 class OdometerLevels:
@@ -209,17 +192,10 @@ class ProductSampler:
         self.base = base
         self.M = M
 
-    def variates(self, n: int, lo: int, hi: int, rng) -> dict:
-        v = self.base.variates(n, lo, hi, rng)
-        v["alpha"] = rng.integers(0, 1 << self.M, size=n, dtype=np.int64)
-        return v
-
-    def render_rows(self, v: dict, rows, lo: int, hi: int) -> np.ndarray:
-        return self.base.render_rows(v, rows, lo, hi)
-
-    def draw(self, n: int, lo: int, hi: int, rng) -> dict:
-        return _rendered(self, self.variates(n, lo, hi, rng), lo, hi,
-                         M=self.M)
+    def draw(self, n: int, lo: int, hi: int, rng, k: int = 0,
+             r: int = 0) -> dict:
+        d = self.base.draw(n, lo, hi, rng)
+        return {**d, "alpha": _conditioned(rng, n, self.M, k, r), "M": self.M}
 
 
 class PeriodicTypeSampler:
@@ -238,25 +214,20 @@ class PeriodicTypeSampler:
         self.base = base
         self.M = M
 
-    def variates(self, n: int, lo: int, hi: int, rng) -> dict:
-        span = 1 << self.k
-        j = rng.integers(0, span, size=n, dtype=np.int64)
-        v = self.base.variates(n, lo, hi + span - 1, rng)
-        v["j"] = j
-        v["alpha"] = j + (rng.integers(0, 1 << (self.M - self.k), size=n,
-                                       dtype=np.int64) << self.k)
-        return v
-
-    def render_rows(self, v: dict, rows, lo: int, hi: int) -> np.ndarray:
-        y = self.base.render_rows(v, rows, lo, hi + (1 << self.k) - 1)
-        cols = v["j"][rows][:, None] + np.arange(hi - lo + 1)[None, :]
-        return np.take_along_axis(y, cols, axis=1)
-
-    def draw(self, n: int, lo: int, hi: int, rng) -> dict:
-        d = _rendered(self, self.variates(n, lo, hi, rng), lo, hi,
-                      M=self.M)
+    def draw(self, n: int, lo: int, hi: int, rng, k: int = 0,
+             r: int = 0) -> dict:
+        # alpha = j + 2**t * upper: conditioning on r mod 2**k fixes the low
+        # min(k, t) digits of j and the low k - t digits of upper if k > t
+        t, span = self.k, 1 << self.k
+        kj = min(k, t)
+        j = _conditioned(rng, n, t, kj, r & (span - 1))
+        d = self.base.draw(n, lo, hi + span - 1, rng)
+        upper = _conditioned(rng, n, self.M - t, k - kj, r >> t)
+        cols = j[:, None] + np.arange(hi - lo + 1)[None, :]
+        d.update(y=np.take_along_axis(d["y"], cols, axis=1),
+                 alpha=j + (upper << t), M=self.M)
         if "val" in d:  # the odometer value of the shifted window
-            d["val"] = d["val"] + d["j"]
+            d["val"] = d["val"] + j
         return d
 
 
@@ -282,18 +253,13 @@ class AperiodicSampler:
         self.r_mask = sum(a << i for i, a in enumerate(self.alpha))
         check_eigen_consistency(base, levels, np.random.default_rng(0))
 
-    def variates(self, n: int, lo: int, hi: int, rng) -> dict:
-        v = self.base.variates(n, lo, hi, rng)
-        r = self.levels.level(v, self.M)
-        v["alpha"] = (r - self.r_mask) & ((1 << self.M) - 1)
-        return v
-
-    def render_rows(self, v: dict, rows, lo: int, hi: int) -> np.ndarray:
-        return self.base.render_rows(v, rows, lo, hi)
-
-    def draw(self, n: int, lo: int, hi: int, rng) -> dict:
-        return _rendered(self, self.variates(n, lo, hi, rng), lo, hi,
-                         M=self.M)
+    def draw(self, n: int, lo: int, hi: int, rng, k: int = 0,
+             r: int = 0) -> dict:
+        # alpha = r mod 2**k exactly when the level is r + r_mask mod 2**k
+        d = self.base.draw(n, lo, hi, rng, k, (r + self.r_mask) % (1 << k))
+        level = self.levels.level(d, self.M)
+        return {**d, "alpha": (level - self.r_mask) & ((1 << self.M) - 1),
+                "M": self.M}
 
 
 def make_aperiodic(base, levels: OdometerLevels, alpha) -> AperiodicSampler:
@@ -338,7 +304,7 @@ def pack_words(y: np.ndarray, lo: int, start: int, L: int) -> np.ndarray:
     return block @ (1 << np.arange(L, dtype=np.int64))
 
 
-MAX_DRAWS = 50_000_000  # rows one projection may draw
+CHUNK = 1 << 18  # rows one draw may hold, so memory is bounded for any n
 
 
 def project_theta(sampler, k: int, r: int, L: int, n_accept: int, rng,
@@ -346,10 +312,8 @@ def project_theta(sampler, k: int, r: int, L: int, n_accept: int, rng,
     """Empirical P_{r,k}: condition the digit value on r modulo 2**k, shift
     the window by `shift`, tabulate length-L words at position -L.
 
-    Conditioning is by rejection on alpha: each chunk draws the variates of
-    every row, so the generator advances as for full draws, and renders
-    windows only for the kept rows.  Draws continue until n_accept samples
-    are kept; the acceptance ratio (about 2**-k) is returned with the table.
+    The sampler draws every row conditioned, so all rows are kept; the share
+    of drawn rows kept, 1.0, is returned with the table.
     """
     if n_accept < 1:
         raise ValueError(f"n_accept must be at least 1, got {n_accept}")
@@ -359,25 +323,13 @@ def project_theta(sampler, k: int, r: int, L: int, n_accept: int, rng,
         raise ValueError(f"r must lie in [0, 2**{k}), got {r}")
     lo, hi = shift - L, shift - 1
     counts = np.zeros(1 << L)
-    kept = total = 0
-    chunk = max(2048, min(1 << 18, n_accept << (k + 1)))
-    while kept < n_accept:
-        if total > MAX_DRAWS:
-            raise RuntimeError("zero or too few accepted samples")
-        v = sampler.variates(chunk, lo, hi, rng)
-        hits = np.flatnonzero((v["alpha"] & ((1 << k) - 1)) == r)
-        rows = hits[:n_accept - kept]
-        # stopping mid-chunk: count draws up to the last kept sample
-        total += int(rows[-1]) + 1 if len(rows) < len(hits) else chunk
-        if len(rows):
-            codes = pack_words(sampler.render_rows(v, rows, lo, hi), lo, lo, L)
-            counts += np.bincount(codes, minlength=1 << L)
-            kept += len(rows)
-        del v  # free this chunk's variates before the next chunk is drawn
-    return CylinderTable(counts, L, -L), kept / total
+    for start in range(0, n_accept, CHUNK):
+        d = sampler.draw(min(CHUNK, n_accept - start), lo, hi, rng, k, r)
+        counts += np.bincount(pack_words(d["y"], lo, lo, L), minlength=1 << L)
+    return CylinderTable(counts, L, -L), 1.0
 
 
-def theta_verdict(tables, acceptance, tol: float, n_accept: int) -> dict:
+def theta_verdict(tables, tol: float, n_accept: int) -> dict:
     """Verdict of the theta ladder theta_0, ..., theta_{k_max + 1}: the TV
     distances of successive tables, and the least k with every later step
     below tol, or aperiodic-up-to-k_max."""
@@ -386,20 +338,50 @@ def theta_verdict(tables, acceptance, tol: float, n_accept: int) -> dict:
     verdict = next((k for k in range(k_max + 1)
                     if all(step <= tol for step in ladder[k:])),
                    f"aperiodic-up-to-{k_max}")
-    return {"verdict": verdict, "tv_ladder": ladder,
-            "acceptance": list(acceptance), "tol": tol, "L": tables[0].L,
-            "n_accept": n_accept}
+    return {"verdict": verdict, "tv_ladder": ladder, "tol": tol,
+            "L": tables[0].L, "n_accept": n_accept}
+
+
+# ---------------------------------------------------------------------------
+# shards
+
+N_SHARDS = 4
+
+
+def shard_sizes(total: int) -> list[int]:
+    base, rem = divmod(total, N_SHARDS)
+    return [base + (1 if s < rem else 0) for s in range(N_SHARDS)]
+
+
+def run_shards(fn, args_per_shard, workers: int):
+    """Evaluate fn over shards, results in shard order regardless of
+    scheduling."""
+    if workers <= 1:
+        return [fn(*a) for a in args_per_shard]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda a: fn(*a), args_per_shard))
 
 
 def classify_periodic_type(sampler, k_max: int, L: int, n_accept: int,
-                           tol: float, rng) -> dict:
+                           tol: float, rng, workers: int = 1) -> dict:
     """Smallest k at which the theta ladder stabilizes, or aperiodic-up-to-k_max.
 
     Computes empirical theta_0, ..., theta_{k_max + 1} and their successive
-    total-variation distances; see `theta_verdict`.
+    total-variation distances; see `theta_verdict`.  Each k is cut into
+    N_SHARDS shards, each nonempty (k, shard) drawing from its own generator
+    spawned from `rng`; counts are summed in (k, shard) order, so the
+    report is the same for any number of workers.
     """
-    tables, acceptance = zip(*(
-        project_theta(sampler, k, 0, L, n_accept, rng)
-        for k in range(k_max + 2)))
-    return theta_verdict(tables, acceptance, tol, n_accept)
+    jobs = [(k, size) for k in range(k_max + 2)
+            for size in shard_sizes(n_accept) if size]
 
+    def work(k, size, child):
+        return project_theta(sampler, k, 0, L, size, child)[0].counts
+
+    parts = run_shards(work, [(k, size, child) for (k, size), child
+                              in zip(jobs, rng.spawn(len(jobs)))], workers)
+    counts = [np.zeros(1 << L) for _ in range(k_max + 2)]
+    for (k, _), c in zip(jobs, parts):
+        counts[k] += c
+    return theta_verdict([CylinderTable(c, L, -L) for c in counts], tol,
+                         n_accept)

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -102,11 +105,6 @@ class TestProjections:
         t2, _ = measures.project_theta(per0, 0, 0, 6, 100000, RNG(9))
         assert t1.tv(t2) <= 0.02
 
-    def test_acceptance_rate(self):
-        sampler = measures.ProductSampler(measures.BernoulliBase(), 6)
-        _, acc = measures.project_theta(sampler, 3, 0, 6, 5000, RNG(10))
-        assert abs(acc - 0.125) < 0.02
-
     def test_theta_equals_base_for_product(self):
         sampler = measures.ProductSampler(measures.BernoulliBase(), 6)
         uniform = measures.CylinderTable(np.full(64, 1.0), 6, -6)
@@ -128,7 +126,7 @@ class TestProjections:
 PERIOD8 = [0, 0, 0, 1, 0, 1, 1, 1]
 
 # every sampler/base pair the CLI and the acceptance suite use
-TWO_PHASE = {
+SAMPLERS = {
     "product-bernoulli": lambda: measures.ProductSampler(
         measures.BernoulliBase(0.3), 8),
     "periodic-atomic": lambda: measures.PeriodicTypeSampler(
@@ -141,48 +139,60 @@ TWO_PHASE = {
 
 
 def reference_project_theta(sampler, k, r, L, n_accept, rng, shift=0):
-    """Rejection on full draws, a window rendered for every row."""
+    """Rejection on full unconditioned draws: keep the rows whose digit
+    value is r modulo 2**k."""
     lo, hi = -L + shift, shift - 1
     counts = np.zeros(1 << L)
-    kept = total = 0
+    kept = 0
     chunk = max(2048, min(1 << 18, n_accept << (k + 1)))
     while kept < n_accept:
         d = sampler.draw(chunk, lo, hi, rng)
-        keep = np.flatnonzero((d["alpha"] & ((1 << k) - 1)) == r)
-        take = keep[:n_accept - kept]
-        total += int(take[-1]) + 1 if len(take) < len(keep) else chunk
+        take = np.flatnonzero((d["alpha"] & ((1 << k) - 1)) == r)
+        take = take[:n_accept - kept]
         codes = measures.pack_words(d["y"][take], lo, lo, L)
         counts += np.bincount(codes, minlength=1 << L)
         kept += len(take)
-    return counts, kept / total
+    return measures.CylinderTable(counts, L, -L)
+
+
+def tv_noise_bound(cells, n):
+    """A bound on the TV of two independent n-sample tables of one law on
+    `cells` cells.  Per cell E|p_hat - q_hat| ~ sqrt(4 p (1 - p) / (pi n)),
+    so E TV <= 0.5 sqrt(4 / (pi n)) sum_i sqrt(p_i) <= sqrt(cells / (pi n))
+    by Cauchy-Schwarz; the sd of the TV is at most sqrt((1 - 2/pi) / (2 n)).
+    The bound is the mean bound plus 8 sd."""
+    return (math.sqrt(cells / (math.pi * n))
+            + 8 * math.sqrt((1 - 2 / math.pi) / (2 * n)))
 
 
 class TestTwoPhaseDraw:
-    @pytest.mark.parametrize("name", TWO_PHASE)
-    def test_rendered_rows_equal_draw(self, name):
-        sampler = TWO_PHASE[name]()
-        a, b = RNG(30), RNG(30)
-        v = sampler.variates(700, -3, 5, a)
-        rows = np.flatnonzero(v["alpha"] % 3 == 1)
-        d = sampler.draw(700, -3, 5, b)
-        assert np.array_equal(sampler.render_rows(v, rows, -3, 5),
-                              d["y"][rows])
-        assert np.array_equal(v["alpha"], d["alpha"])
-        # the variates consume exactly the stream of a full draw
-        assert a.bit_generator.state == b.bit_generator.state
+    """The two ways of drawing a fiber: the conditioned draw project_theta
+    makes, against rejection on full draws."""
 
-    @pytest.mark.parametrize("name", TWO_PHASE)
-    @pytest.mark.parametrize("k,r,shift", [(0, 0, 0), (3, 5, 1), (5, 0, 4)])
+    N = 20000
+    L = 6
+
+    @pytest.mark.parametrize("name", SAMPLERS)
+    @pytest.mark.parametrize("k,r,shift", [
+        (0, 0, 0), (1, 1, 2), (2, 3, 3), (3, 5, 1), (4, 11, 4), (5, 0, 4)])
     def test_projection_equals_full_draw_rejection(self, name, k, r, shift):
-        sampler = TWO_PHASE[name]()
-        a, b = RNG(31), RNG(31)
-        t, acc = measures.project_theta(sampler, k, r, 6, 3000, a,
-                                        shift=shift)
-        counts, ref_acc = reference_project_theta(sampler, k, r, 6, 3000, b,
-                                                  shift=shift)
-        assert np.array_equal(t.counts, counts)
-        assert acc == ref_acc
-        assert a.bit_generator.state == b.bit_generator.state
+        sampler = SAMPLERS[name]()
+        t, kept = measures.project_theta(sampler, k, r, self.L, self.N,
+                                         RNG(31), shift=shift)
+        ref = reference_project_theta(sampler, k, r, self.L, self.N,
+                                      RNG(32), shift=shift)
+        assert kept == 1.0 and t.n == ref.n == self.N
+        assert t.tv(ref) <= tv_noise_bound(1 << self.L, self.N)
+
+    @pytest.mark.parametrize("name", SAMPLERS)
+    @pytest.mark.parametrize("k", range(5))
+    def test_every_row_satisfies_the_condition(self, name, k):
+        sampler = SAMPLERS[name]()
+        for r in range(1 << k):
+            d = sampler.draw(300, -3, 5, RNG(33), k, r)
+            assert d["y"].shape == (300, 9)
+            assert np.all((d["alpha"] & ((1 << k) - 1)) == r)
+            assert np.all(d["alpha"] < 1 << sampler.M)
 
     @pytest.mark.parametrize("k,r,n_accept", [
         (0, 0, 0), (2, 0, -1), (9, 0, 10), (-1, 0, 10), (2, 4, 10),
@@ -194,6 +204,52 @@ class TestTwoPhaseDraw:
         with pytest.raises(ValueError):
             measures.project_theta(sampler, k, r, 6, n_accept, rng)
         assert rng.bit_generator.state == state
+
+
+def centrality_defect(sampler, n, n_rows, rng):
+    """Largest TV between the laws of the depth-n vertex given the low n
+    digits r of alpha, over all pairs r < 2**n.
+
+    The depth-n vertex of a coded point is its window y[-a_n, -a_n + 2**n - 1],
+    a_n the low n digits, so its law given a_n = r is the theta-projection
+    at shift 2**n - r of length 2**n.  The coded measure is central when
+    these laws agree for every r.
+    """
+    tables = [measures.project_theta(sampler, n, r, 1 << n, n_rows, rng,
+                                     shift=(1 << n) - r)[0]
+              for r in range(1 << n)]
+    return max(a.tv(b) for a, b in itertools.combinations(tables, 2))
+
+
+class TestCentrality:
+    ROWS = 50000
+    ZOO = {
+        "product": lambda: measures.ProductSampler(
+            measures.BernoulliBase(), 8),
+        "periodic-2": lambda: measures.PeriodicTypeSampler(
+            2, measures.AtomicBase(PERIOD8, [0, 4]), 8),
+        "aperiodic": lambda: measures.make_aperiodic(
+            measures.ToeplitzBase(), measures.OdometerLevels(24),
+            [0, 0, 0, 0]),
+    }
+
+    @pytest.mark.parametrize("name", ZOO)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_invariant_measures_code_to_central(self, name, n):
+        # a vertex window has 2**(2**n) cells; each pair of fibers is two
+        # independent ROWS-sample tables of one law, and the max over the
+        # pairs stays under the per-pair bound, which sits 8 sd above the
+        # mean bound
+        tol = tv_noise_bound(1 << (1 << n), self.ROWS)
+        defect = centrality_defect(self.ZOO[name](), n, self.ROWS, RNG(40))
+        assert defect <= tol
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_non_invariant_base_is_not_central(self, n):
+        # one shift of one word: no shift invariance, so fibers see
+        # different windows of the same deterministic word
+        control = measures.ProductSampler(measures.AtomicBase(PERIOD8, [0]), 8)
+        assert centrality_defect(control, n, 2000, RNG(41)) > 0.5
 
 
 class TestAperiodic:
