@@ -223,17 +223,8 @@ def centrality_defect(sampler, n, n_rows, rng):
 
 class TestCentrality:
     ROWS = 50000
-    ZOO = {
-        "product": lambda: measures.ProductSampler(
-            measures.BernoulliBase(), 8),
-        "periodic-2": lambda: measures.PeriodicTypeSampler(
-            2, measures.AtomicBase(PERIOD8, [0, 4]), 8),
-        "aperiodic": lambda: measures.make_aperiodic(
-            measures.ToeplitzBase(), measures.OdometerLevels(24),
-            [0, 0, 0, 0]),
-    }
 
-    @pytest.mark.parametrize("name", ZOO)
+    @pytest.mark.parametrize("name", SAMPLERS)
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_invariant_measures_code_to_central(self, name, n):
         # a vertex window has 2**(2**n) cells; each pair of fibers is two
@@ -241,7 +232,7 @@ class TestCentrality:
         # pairs stays under the per-pair bound, which sits 8 sd above the
         # mean bound
         tol = tv_noise_bound(1 << (1 << n), self.ROWS)
-        defect = centrality_defect(self.ZOO[name](), n, self.ROWS, RNG(40))
+        defect = centrality_defect(SAMPLERS[name](), n, self.ROWS, RNG(40))
         assert defect <= tol
 
     @pytest.mark.parametrize("n", [1, 2, 3])
