@@ -7,8 +7,9 @@ type of a named measure) and `entropy` (one ad-hoc estimate).
 
 Reproducibility: every run is driven by a root seed (flag, config file or
 the ADICOP_SEED environment variable).  Work is cut into a fixed number of
-shards: scaling shard s draws from a generator seeded `seed XOR s`, and
-classify gives each (k, shard) a generator spawned from
+shards: scaling and entropy run the library's `entropy.scaling_curve`,
+whose `measures.draw_sharded` draws shard s from a generator seeded
+`seed XOR s`, and classify gives each (k, shard) a generator spawned from
 `default_rng(seed)`.  Workers only set the parallelism and shards are
 joined in a fixed order, so outputs are byte-identical for any worker
 count.  Output files echo the full config in their header.
@@ -32,9 +33,9 @@ import sys
 import numpy as np
 
 from . import coding, dyadic, filtration, graph, measures
-from .entropy import (EntropyCurve, asymp_compare, check_scales,
+from .entropy import (EntropyCurve, asymp_compare, curve_sampler,
                       scaling_curve, sigma_target_d, sigma_target_z)
-from .measures import run_shards, shard_sizes
+from .measures import run_shards
 
 SEED_ENV = "ADICOP_SEED"
 
@@ -96,10 +97,6 @@ def load_config(path: str) -> list[str]:
     return out
 
 
-def shard_seed(seed: int, shard: int) -> int:
-    return seed ^ shard
-
-
 def config_header(cfg: dict) -> list[str]:
     lines = [f"version = {version_string()}"]
     lines += [f"{k} = {cfg[k]}" for k in sorted(cfg)]
@@ -152,13 +149,11 @@ def _check_adic_diagram(seed=0, n_points=100, res=8, L=6):
     rng = np.random.default_rng(seed)
     for _ in range(n_points):
         w = rng.integers(0, 2, 1 << res).astype(np.uint8)
-        a = graph.alpha_digits(int(rng.integers(0, (1 << res) - 1)), res)
+        # digit values L away from both ends resolve both windows
+        a = graph.alpha_digits(int(rng.integers(L, (1 << res) - 1 - L)), res)
         p = coding.CodedPoint(w, a)
-        try:
-            win = coding.lambda_window(p, L)
-            win_next = coding.lambda_window(coding.adic_on_coded(p), L)
-        except dyadic.ResolutionError:
-            continue
+        win = coding.lambda_window(p, L)
+        win_next = coding.lambda_window(coding.adic_on_coded(p), L)
         if not np.array_equal(win.shift().bits, win_next.bits[:2 * L]):
             return f"adic diagram fails at alpha={a}"
     return None
@@ -240,37 +235,17 @@ def cmd_oracle(args, cfg) -> int:
 # ---------------------------------------------------------------------------
 # scaling
 
-def draw_sharded(sampler, samples: int, seed: int, workers: int) -> dict:
-    """Draw `samples` rows in `shard_sizes` shards, shard s from a generator
-    seeded seed XOR s, joined in shard order: configurations w, plus digit
-    values alpha from omega^sigma samplers."""
-    def draw(s, size):
-        rng = np.random.default_rng(shard_seed(seed, s))
-        if isinstance(sampler, measures.OmegaSigmaSampler):
-            return sampler.draw(size, rng)
-        return {"w": sampler.draw_w(size, rng)}
-
-    parts = run_shards(draw, list(enumerate(shard_sizes(samples))), workers)
-    return {key: np.concatenate([p[key] for p in parts])
-            for key in ("w", "alpha") if key in parts[0]}
-
-
 def sharded_curve(args, sigma, scales, eps_grid, k: int = 0,
                   min_scales: int = 1) -> EntropyCurve:
-    """Check the scales, draw the sample in shards, estimate the curve."""
+    """The library's curve on the sampler `entropy.curve_sampler` builds;
+    a request it refuses is a usage error."""
     try:
-        check_scales(args.mode, scales, args.samples, dyadic.N_MAX, k,
-                     min_scales)
+        sampler = curve_sampler(args.mode, sigma, scales, args.samples, k,
+                                min_scales)
     except ValueError as e:
         raise UsageError(str(e)) from None
-    if args.mode == "z":
-        M = max(scales).bit_length() - 1
-        sampler = measures.OmegaSigmaSampler(sigma, M, M)
-    else:
-        sampler = measures.MSigmaSampler(sigma, max(scales))
-    sample = draw_sharded(sampler, args.samples, args.seed, args.workers)
-    return scaling_curve(args.mode, sample, scales, eps_grid, args.samples,
-                         args.seed, sigma, k)
+    return scaling_curve(args.mode, sampler, scales, eps_grid, args.samples,
+                         args.seed, k, args.workers)
 
 
 def cmd_scaling(args, cfg) -> int:

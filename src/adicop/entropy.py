@@ -30,8 +30,9 @@ from operator import or_
 
 import numpy as np
 
+from . import measures
 from .coding import CodedPoint, adic_on_coded, diag
-from .dyadic import sigma_extend
+from .dyadic import N_MAX, sigma_extend
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +376,26 @@ def check_scales(mode: str, scales, samples: int, resolution: int,
                              + (f" (above k = {k})" if lowest else ""))
 
 
-def scaling_curve(mode: str, sample: dict, scales, eps_grid, samples: int,
-                  seed: int, sigma=(), k: int = 0) -> EntropyCurve:
-    """Entropy curve of a drawn sample, one row per (scale, eps), scale
-    outer.  The sample holds configurations w, plus digit values alpha in
-    mode "z"; its scales have passed `check_scales`.
+def curve_sampler(mode: str, sigma, scales, samples: int, k: int = 0,
+                  min_scales: int = 1):
+    """The sampler a curve of `mode` draws from: m^sigma on D_N with N the
+    top scale, or omega^sigma with M = N = log2 of the top time in mode
+    "z".  The scales pass `check_scales` at N_MAX before it is built."""
+    check_scales(mode, scales, samples, N_MAX, k, min_scales)
+    if mode == "z":
+        N = max(scales).bit_length() - 1
+        return measures.OmegaSigmaSampler(sigma, N, N)
+    return measures.MSigmaSampler(sigma, max(scales))
+
+
+def scaling_curve(mode: str, sampler, scales, eps_grid, samples: int,
+                  seed: int, k: int = 0, workers: int = 1) -> EntropyCurve:
+    """Entropy curve of `samples` draws from `sampler`, one row per (scale,
+    eps), scale outer.
+
+    The scales pass `check_scales` at the sampler's resolution N, and mode
+    "z" needs digit resolution M = N, before `measures.draw_sharded` draws
+    the sample of configurations w (plus digit values alpha in mode "z").
 
     Mode "d" averages the cut on w(0) over D_n.  Mode "z" averages it over
     t adic steps and takes the max of two covering estimates: the plain
@@ -392,6 +408,11 @@ def scaling_curve(mode: str, sample: dict, scales, eps_grid, samples: int,
     split block-additively.
     """
     from .filtration import _split_entropy_bits, reduce_symbols
+    check_scales(mode, scales, samples, sampler.N, k)
+    if mode == "z" and sampler.M != sampler.N:
+        raise ValueError(f"mode z needs digit resolution M = N = {sampler.N}"
+                         f", got M = {sampler.M}")
+    sample = measures.draw_sharded(sampler, samples, seed, workers)
     w = sample["w"]
     curve = EntropyCurve()
     for s in scales:
@@ -406,7 +427,7 @@ def scaling_curve(mode: str, sample: dict, scales, eps_grid, samples: int,
                     for eps in eps_grid]
         else:
             sym = reduce_symbols(w, s, k)
-            flags = [bool(f) for f in sigma_extend(sigma, s)[k:]]
+            flags = [bool(f) for f in sigma_extend(sampler.sigma, s)[k:]]
             bits = [_split_entropy_bits(sym, flags, eps) for eps in eps_grid]
         for eps, b in zip(eps_grid, bits):
             curve.add(s, eps, b, samples, seed)
@@ -416,17 +437,13 @@ def scaling_curve(mode: str, sample: dict, scales, eps_grid, samples: int,
 def scaling_curve_d(sampler, levels, eps_grid=DEFAULT_EPS_GRID,
                     n_samples: int = 2000, seed: int = 0) -> EntropyCurve:
     """Entropy curve of the group-averaged cut metric at equipment levels n."""
-    check_scales("d", levels, n_samples, sampler.N)
-    w = sampler.draw_w(n_samples, np.random.default_rng(seed))
-    return scaling_curve("d", {"w": w}, levels, eps_grid, n_samples, seed)
+    return scaling_curve("d", sampler, levels, eps_grid, n_samples, seed)
 
 
 def scaling_curve_z(sampler, scales, eps_grid=DEFAULT_EPS_GRID,
                     n_samples: int = 2000, seed: int = 0) -> EntropyCurve:
     """Entropy curve of the adic-averaged cut metric at dyadic times t."""
-    check_scales("z", scales, n_samples, sampler.N)
-    sample = sampler.draw(n_samples, np.random.default_rng(seed))
-    return scaling_curve("z", sample, scales, eps_grid, n_samples, seed)
+    return scaling_curve("z", sampler, scales, eps_grid, n_samples, seed)
 
 
 def sigma_target_d(sigma, levels):

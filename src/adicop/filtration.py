@@ -18,10 +18,8 @@ from collections import Counter
 import numpy as np
 
 from .coding import CodedPoint, diag
-from .dyadic import N_MAX
 from .entropy import (CutRhoK, EntropyCurve, Semimetric, _max_uncovered,
-                      check_scales, greedy_cover_bits, scaling_curve)
-from .measures import MSigmaSampler
+                      curve_sampler, greedy_cover_bits, scaling_curve)
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +285,9 @@ def filtration_scaling(sigma, k: int, levels, eps: float = 0.25,
     """Entropy curve of K_n[rho_k] across the representatives of the
     filtration elements, under m^sigma (see `scaling_curve`)."""
     levels = list(levels)
-    check_scales("filtration", levels, n_samples, N_MAX, k)
-    sampler = MSigmaSampler(sigma, max(levels))
-    w = sampler.draw_w(n_samples, np.random.default_rng(seed))
-    return scaling_curve("filtration", {"w": w}, levels, (eps,), n_samples,
-                         seed, sigma, k)
+    sampler = curve_sampler("filtration", sigma, levels, n_samples, k)
+    return scaling_curve("filtration", sampler, levels, (eps,), n_samples,
+                         seed, k)
 
 
 # ---------------------------------------------------------------------------

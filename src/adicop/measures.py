@@ -50,6 +50,9 @@ class MSigmaSampler:
         bits = rng.integers(0, 2, size=(n, self.n_cosets), dtype=np.uint8)
         return bits[:, self.index]
 
+    def draw(self, n: int, rng) -> dict:
+        return {"w": self.draw_w(n, rng)}
+
 
 def m_h_sampler(h_generators, N: int) -> MSigmaSampler:
     """Pushforward of Lebesgue measure on I^{D/H} for H generated by a subset
@@ -68,11 +71,14 @@ class OmegaSigmaSampler(MSigmaSampler):
     def draw(self, n: int, rng) -> dict:
         w = self.draw_w(n, rng)
         alpha = rng.integers(0, 1 << self.M, size=n, dtype=np.int64)
-        return {"w": w, "alpha": alpha, "M": self.M}
+        return {"w": w, "alpha": alpha}
 
 
 # ---------------------------------------------------------------------------
 # base measures on I^Z
+#
+# A base `draw(n, lo, hi, rng, shift=0)` returns n windows y on positions
+# lo..hi, row i read from the point shifted by shift[i] (an int array or 0).
 
 def _conditioned(rng, n: int, bits: int, k: int, r: int) -> np.ndarray:
     """n uniform values below 2**bits conditioned on r modulo 2**k (k <= bits);
@@ -90,7 +96,8 @@ class BernoulliBase:
             raise ValueError("p must be a probability")
         self.p = p
 
-    def draw(self, n: int, lo: int, hi: int, rng) -> dict:
+    def draw(self, n: int, lo: int, hi: int, rng, shift=0) -> dict:
+        # i.i.d. windows have the same law at every shift
         y = (rng.random(size=(n, hi - lo + 1)) < self.p).astype(np.uint8)
         return {"y": y, "lo": lo}
 
@@ -109,8 +116,8 @@ class AtomicBase:
             *(int(d) for d in np.diff(self.shifts)), len(self.word)) \
             if len(self.shifts) > 1 else len(self.word)
 
-    def draw(self, n: int, lo: int, hi: int, rng) -> dict:
-        off = self.shifts[rng.integers(0, len(self.shifts), size=n)]
+    def draw(self, n: int, lo: int, hi: int, rng, shift=0) -> dict:
+        off = self.shifts[rng.integers(0, len(self.shifts), size=n)] + shift
         pos = off[:, None] + np.arange(lo, hi + 1)[None, :]
         return {"y": self.word[pos % len(self.word)], "lo": lo}
 
@@ -138,9 +145,10 @@ class ToeplitzBase:
         return ((lowbit & odd_positions) != 0).astype(np.uint8)
 
     def draw(self, n: int, lo: int, hi: int, rng, k: int = 0,
-             r: int = 0) -> dict:
-        """n rows with the odometer value conditioned on r modulo 2**k."""
-        val = _conditioned(rng, n, self.R, k, r)
+             r: int = 0, shift=0) -> dict:
+        """n rows with the odometer value conditioned on r modulo 2**k,
+        then advanced by `shift`."""
+        val = _conditioned(rng, n, self.R, k, r) + shift
         return {"val": val, "y": self.render(val, lo, hi), "lo": lo}
 
 
@@ -195,7 +203,7 @@ class ProductSampler:
     def draw(self, n: int, lo: int, hi: int, rng, k: int = 0,
              r: int = 0) -> dict:
         d = self.base.draw(n, lo, hi, rng)
-        return {**d, "alpha": _conditioned(rng, n, self.M, k, r), "M": self.M}
+        return {**d, "alpha": _conditioned(rng, n, self.M, k, r)}
 
 
 class PeriodicTypeSampler:
@@ -218,17 +226,12 @@ class PeriodicTypeSampler:
              r: int = 0) -> dict:
         # alpha = j + 2**t * upper: conditioning on r mod 2**k fixes the low
         # min(k, t) digits of j and the low k - t digits of upper if k > t
-        t, span = self.k, 1 << self.k
+        t = self.k
         kj = min(k, t)
-        j = _conditioned(rng, n, t, kj, r & (span - 1))
-        d = self.base.draw(n, lo, hi + span - 1, rng)
+        j = _conditioned(rng, n, t, kj, r & ((1 << t) - 1))
+        d = self.base.draw(n, lo, hi, rng, shift=j)
         upper = _conditioned(rng, n, self.M - t, k - kj, r >> t)
-        cols = j[:, None] + np.arange(hi - lo + 1)[None, :]
-        d.update(y=np.take_along_axis(d["y"], cols, axis=1),
-                 alpha=j + (upper << t), M=self.M)
-        if "val" in d:  # the odometer value of the shifted window
-            d["val"] = d["val"] + j
-        return d
+        return {**d, "alpha": j + (upper << t)}
 
 
 class AperiodicSampler:
@@ -258,8 +261,7 @@ class AperiodicSampler:
         # alpha = r mod 2**k exactly when the level is r + r_mask mod 2**k
         d = self.base.draw(n, lo, hi, rng, k, (r + self.r_mask) % (1 << k))
         level = self.levels.level(d, self.M)
-        return {**d, "alpha": (level - self.r_mask) & ((1 << self.M) - 1),
-                "M": self.M}
+        return {**d, "alpha": (level - self.r_mask) & ((1 << self.M) - 1)}
 
 
 def make_aperiodic(base, levels: OdometerLevels, alpha) -> AperiodicSampler:
@@ -360,6 +362,15 @@ def run_shards(fn, args_per_shard, workers: int):
         return [fn(*a) for a in args_per_shard]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda a: fn(*a), args_per_shard))
+
+
+def draw_sharded(sampler, samples: int, seed: int, workers: int) -> dict:
+    """`sampler.draw` of `samples` rows in `shard_sizes` shards, shard s from
+    a generator seeded seed XOR s, joined in shard order."""
+    parts = run_shards(lambda s, size: sampler.draw(
+        size, np.random.default_rng(seed ^ s)),
+        list(enumerate(shard_sizes(samples))), workers)
+    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 
 
 def classify_periodic_type(sampler, k_max: int, L: int, n_accept: int,

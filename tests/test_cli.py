@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from adicop import cli
+from adicop import cli, entropy, filtration
+from adicop.measures import MSigmaSampler, OmegaSigmaSampler
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -92,7 +93,7 @@ def _no_draws(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sample drawn before the input was validated")
     monkeypatch.setattr(cli, "run_shards", refuse)
-    monkeypatch.setattr(cli, "draw_sharded", refuse)
+    monkeypatch.setattr(cli.measures, "draw_sharded", refuse)
     monkeypatch.setattr(cli.measures, "MSigmaSampler", refuse)
     monkeypatch.setattr(cli.measures, "OmegaSigmaSampler", refuse)
     monkeypatch.setattr(cli.measures, "project_theta", refuse)
@@ -238,6 +239,13 @@ class TestClassify:
         assert report["verdict"] == 0
         assert len(report["tv_ladder"]) == report["config"]["kmax"] + 1
 
+    def test_periodic_type_far_above_the_window(self, capsys):
+        # a type-40 draw shifts each row's base state instead of rendering
+        # 2**40 columns per row
+        assert run(["classify", "--spec", "periodic k=40 period=8",
+                    "--M", "62", "--kmax", "2", "--n-accept", "200"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["tv_ladder"]) == 3
+
     def test_workers_byte_identical(self, tmp_path):
         outs = []
         for w in ("1", "4"):
@@ -265,22 +273,51 @@ class TestClassify:
                     == version.sub("", want.read_text()))
 
 
+def _library_curve(mode, sigma, scales, n_samples):
+    """The library wrapper of a mode on the sampler the CLI builds, at the
+    CLI's default k, eps 0.25 and seed 0."""
+    if mode == "d":
+        return entropy.scaling_curve_d(MSigmaSampler(sigma, max(scales)),
+                                       scales, (0.25,), n_samples, 0)
+    if mode == "z":
+        M = max(scales).bit_length() - 1
+        return entropy.scaling_curve_z(OmegaSigmaSampler(sigma, M, M),
+                                       scales, (0.25,), n_samples, 0)
+    return filtration.filtration_scaling(
+        sigma, cli.DEFAULTS["scaling"]["k"], scales, 0.25, n_samples, 0)
+
+
 @pytest.mark.parametrize("mode", ["d", "z", "filtration"])
 def test_reproduces_committed_scaling(tmp_path, capsys, mode):
-    # one regime of scripts/scaling_sweep.py at seed 0, version line aside
+    # one regime of scripts/scaling_sweep.py at seed 0, version line aside,
+    # from the CLI and from the library wrapper
     sweep = _script("scaling_sweep")
     sigma = sweep.REGIMES["alternating"]
     if mode == "filtration":
         sigma += sigma[0]
+    run_cfg = dict(sweep.RUNS)[mode]
     out = tmp_path / "curve.csv"
     argv = ["scaling", "--mode", mode, "--sigma", sigma, "--eps", "0.25",
             "--seed", "0", "--out", str(out)]
-    for key, val in dict(sweep.RUNS)[mode].items():
+    for key, val in run_cfg.items():
         argv += [f"--{key}", val]
     assert run(argv) == 0
     want = ROOT / "results" / f"scaling_{mode}_alternating.csv"
     version = re.compile(r"# version = .*\n")
     assert version.sub("", out.read_text()) == version.sub("", want.read_text())
+
+    # the alternating filtration rows come out the same from one generator
+    # seeded 0 as from the sharded draw; the ones rows tell them apart
+    scales = cli.parse_int_list(run_cfg["scales"])
+    for name in ["alternating"] + (["ones"] if mode == "filtration" else []):
+        regime = sweep.REGIMES[name]
+        if mode == "filtration":
+            regime += regime[0]
+        lib = tmp_path / f"library_{name}.csv"
+        _library_curve(mode, cli.parse_sigma(regime), scales,
+                       int(run_cfg["samples"])).to_csv(lib)
+        want = ROOT / "results" / f"scaling_{mode}_{name}.csv"
+        assert _csv_rows(lib) == _csv_rows(want)
 
 
 USAGE_ERRORS = {  # name: argv, given a directory for a config file

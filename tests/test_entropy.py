@@ -419,3 +419,13 @@ class TestCheckScales:
             entropy.scaling_curve_z(Refusing(), [4, 32])
         with pytest.raises(ValueError):
             entropy.scaling_curve_d(Refusing(), [3], n_samples=0)
+
+    @pytest.mark.parametrize("M", [2, 8])
+    def test_z_refuses_digit_resolution_other_than_n(self, monkeypatch, M):
+        # the z-metric runs the odometer modulo 2**N on D_N: digits above N
+        # would index past the configuration, digits below N wrap too soon
+        def refuse(*args, **kwargs):
+            raise AssertionError("drawn before the sampler was checked")
+        monkeypatch.setattr(entropy.measures, "draw_sharded", refuse)
+        with pytest.raises(ValueError, match="M = N"):
+            entropy.scaling_curve_z(OmegaSigmaSampler((1,) * 4, 4, M), [4, 8])

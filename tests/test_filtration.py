@@ -336,6 +336,57 @@ class TestLemma17:
         cmp = asymp_compare(bits, [2 ** d for d in range(2, 7)])
         assert cmp["pass"]
 
+    # The estimate against the closed form, as a band of greedy ball counts.
+    # At m <= 3 and eps = 0.1 a ball of radius eps/2 < 2^-m holds exactly
+    # the sample points of one orbit, so the greedy takes orbits by
+    # decreasing sample count until at most u = _max_uncovered(eps, n) of
+    # the n points are left: it reads the least b whose b largest counts
+    # reach c n, c = (n - u) / n.  Let P_b be the mass of the b heaviest
+    # orbits (sizes from _orbit_histogram) and K the number of orbits.
+    # Chernoff's bound P(Bin(n, p) beyond c n) <= exp(-n KL(c || p)) gives
+    # * at most hi balls unless the hi heaviest orbits fall short of c n:
+    #   hi is the least b with P_b > c and exp(-n KL(c || P_b)) <= DELTA;
+    # * at least lo balls unless some lo - 1 orbits reach c n, each such
+    #   set of mass at most P_{lo-1} < c: lo is the largest b with
+    #   C(K, b - 1) exp(-n KL(c || P_{b-1})) <= DELTA (a union bound).
+    # Each reading leaves its band with probability at most DELTA.  At
+    # n = 4000 the bands hold the exact counts 5, 3, 14 and 5, and (3, 0)
+    # is the one case whose heaviest 14 orbits sit close to c: P_14 =
+    # 0.906 against c = 0.900, so 15 balls stay inside.
+    N_BAND, DELTA = 4000, 1e-3
+
+    @staticmethod
+    def ball_band(m, r, n, eps, delta):
+        def kl(c, p):
+            if p >= 1:
+                return math.inf
+            return c * math.log(c / p) + (1 - c) * math.log((1 - c) / (1 - p))
+
+        hist = filtration._orbit_histogram(m - r, 2)
+        total = 2 ** (1 << (m - r))
+        masses = sorted((size / total for size, count in hist.items()
+                         for _ in range(count)), reverse=True)
+        K = len(masses)
+        P = [sum(masses[:b]) for b in range(K + 1)]
+        c = (n - _max_uncovered(eps, n)) / n
+        hi = min(b for b in range(1, K + 1)
+                 if P[b] > c and math.exp(-n * kl(c, P[b])) <= delta)
+        lo = max(b for b in range(1, hi + 1)
+                 if b == 1 or (P[b - 1] < c and math.comb(K, b - 1)
+                               * math.exp(-n * kl(c, P[b - 1])) <= delta))
+        return lo, hi
+
+    @pytest.mark.parametrize("m,r,lo,hi", [
+        (2, 0, 5, 5), (2, 1, 3, 3), (3, 0, 13, 15), (3, 1, 5, 5)])
+    def test_estimate_within_ball_band_of_exact(self, m, r, lo, hi):
+        assert self.ball_band(m, r, self.N_BAND, 0.1, self.DELTA) == (lo, hi)
+        exact = 2 ** filtration.lemma17_entropy_exact(m, r, 2, 0.1)
+        assert lo <= round(exact) <= hi
+        for seed in range(6):
+            bits = filtration.lemma17_entropy_estimate(
+                m, r, 2, 0.1, n_samples=self.N_BAND, seed=seed)
+            assert lo <= round(2 ** bits) <= hi
+
 
 class TestReduction:
     def test_reduced_equals_generic(self):

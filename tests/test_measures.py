@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,23 @@ class TestProjections:
         t1, _ = measures.project_theta(dk, 0, 0, 6, 30000, RNG(12))
         t2, _ = measures.project_theta(dn, 0, 0, 6, 30000, RNG(13))
         assert t1.tv(t2) <= 0.03
+
+    def test_periodic_draw_renders_only_its_window(self):
+        # a type-t draw shifts each row's base state by j < 2**t, so it holds
+        # rows x window values; rendering 2**t more columns per row would
+        # take at least 1000 x 2**12 int64 positions, 33 MB
+        sampler = measures.PeriodicTypeSampler(
+            12, measures.AtomicBase(PERIOD8, [0]), 16)
+        tracemalloc.start()
+        try:
+            d = sampler.draw(1000, -6, -1, RNG(50))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        j = d["alpha"] & ((1 << 12) - 1)
+        want = np.asarray(PERIOD8)[(j[:, None] + np.arange(-6, 0)) % 8]
+        assert np.array_equal(d["y"], want)
 
 
 PERIOD8 = [0, 0, 0, 1, 0, 1, 1, 1]
