@@ -349,7 +349,7 @@ class TestLemma17:
     # * at least lo balls unless some lo - 1 orbits reach c n, each such
     #   set of mass at most P_{lo-1} < c: lo is the largest b with
     #   C(K, b - 1) exp(-n KL(c || P_{b-1})) <= DELTA (a union bound).
-    # Each reading leaves its band with probability at most DELTA.  At
+    # Each reading leaves its band with probability at most 2 DELTA.  At
     # n = 4000 the bands hold the exact counts 5, 3, 14 and 5, and (3, 0)
     # is the one case whose heaviest 14 orbits sit close to c: P_14 =
     # 0.906 against c = 0.900, so 15 balls stay inside.
