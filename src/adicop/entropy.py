@@ -4,9 +4,7 @@ The estimator covers an i.i.d. sample greedily with balls of radius eps/2
 (so covered sets have diameter below eps) until the uncovered fraction
 drops below eps, and reports log2 of the ball count.  Ball gains are kept
 incrementally, as in accelerated greedy (Minoux 1978): O(n^2) per cover
-instead of O(balls * n^2), with the same counts as plain greedy.  An exact
-set-cover oracle is available for tiny instances to calibrate the greedy
-step.
+instead of O(balls * n^2), with the same counts as plain greedy.
 
 Averaged cut semimetrics are weighted Hamming distances over a binary
 feature matrix with integer column multiplicities, counted by XOR and
@@ -21,12 +19,9 @@ multiplicative constants that the growth-class comparison absorbs.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from operator import or_
 
 import numpy as np
 
@@ -160,30 +155,6 @@ def greedy_cover_count(cover: np.ndarray, eps: float) -> int:
 
 def greedy_cover_bits(D: np.ndarray, eps: float) -> float:
     return math.log2(greedy_cover_count(_cover_relation(D, 1, eps), eps))
-
-
-EXACT_COVER_LIMIT = 24
-
-
-def exact_cover_count(D: np.ndarray, eps: float) -> int:
-    """Minimal number of eps/2-balls centered at points leaving no more
-    points uncovered than the greedy may; exhaustive, tiny instances only."""
-    n = D.shape[0]
-    if n > EXACT_COVER_LIMIT:
-        raise ValueError(f"exact covering limited to {EXACT_COVER_LIMIT} points")
-    cover = _cover_relation(D, 1, eps)
-    masks = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in cover]
-    masks = sorted(set(masks), key=lambda m: -bin(m).count("1"))
-    # drop masks dominated by another
-    masks = [m for i, m in enumerate(masks)
-             if not any(m | o == o for o in masks[:i])]
-    need = n - _max_uncovered(eps, n)
-    upper = greedy_cover_count(cover, eps)
-    for k in range(1, upper + 1):
-        for combo in itertools.combinations(masks, k):
-            if bin(reduce(or_, combo)).count("1") >= need:
-                return k
-    return upper
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +380,13 @@ def scaling_curve(mode: str, sampler, scales, eps_grid, samples: int,
     """
     from .filtration import _split_entropy_bits, reduce_symbols
     check_scales(mode, scales, samples, sampler.N, k)
-    if mode == "z" and sampler.M != sampler.N:
+    M = getattr(sampler, "M", None)
+    if mode == "z" and M != sampler.N:
         raise ValueError(f"mode z needs digit resolution M = N = {sampler.N}"
-                         f", got M = {sampler.M}")
+                         f", got M = {M}")
     sample = measures.draw_sharded(sampler, samples, seed, workers)
     w = sample["w"]
+    memos = [{} for _ in eps_grid]  # filtration: the levels share blocks
     curve = EntropyCurve()
     for s in scales:
         if mode == "d":
@@ -428,7 +401,8 @@ def scaling_curve(mode: str, sampler, scales, eps_grid, samples: int,
         else:
             sym = reduce_symbols(w, s, k)
             flags = [bool(f) for f in sigma_extend(sampler.sigma, s)[k:]]
-            bits = [_split_entropy_bits(sym, flags, eps) for eps in eps_grid]
+            bits = [_split_entropy_bits(sym, flags, eps, memo)
+                    for eps, memo in zip(eps_grid, memos)]
         for eps, b in zip(eps_grid, bits):
             curve.add(s, eps, b, samples, seed)
     return curve

@@ -7,7 +7,8 @@ of the leaf array.  The Kantorovich iteration of a leaf semimetric is the
 cheapest hierarchy-preserving matching, computed by recursive child-swap
 minimization; for the discrete metric on a finite alphabet it becomes the
 orbit Hamming distance dist_m under the tree automorphism group, which
-`kantorovich_pairs` computes vectorized on integer mismatch counts.
+`kantorovich_pairs` computes vectorized on integer mismatch counts, and
+`pairwise_dist_matrix` once per pair of canonical subtree codes.
 """
 
 from __future__ import annotations
@@ -126,13 +127,35 @@ def kantorovich_pairs(sym1: np.ndarray, sym2: np.ndarray) -> np.ndarray:
 
 
 def pairwise_dist_matrix(sym: np.ndarray) -> np.ndarray:
-    """dist_m matrix of the rows of a (S, 2**m) array, from distinct rows."""
+    """dist_m matrix of the rows of a (S, 2**m) array, from orbit codes.
+
+    Level 0 codes the symbols, and a node's code one level up is the id of
+    the sorted pair of its children's codes, so two subtrees share a code
+    iff a tree automorphism maps one onto the other (Aho, Hopcroft and
+    Ullman).  T[u, v] is the fewest mismatched leaves between codes u and
+    v, from the child-swap step of `kantorovich_pairs` run once per pair of
+    codes: min(T[a, a'] + T[b, b'], T[a, b'] + T[b, a']) between (a, b)
+    and (a', b').  The root table / 2**m is dist_m exactly.
+    """
     rows, inv = np.unique(sym, axis=0, return_inverse=True)
-    iu, ju = np.triu_indices(rows.shape[0], k=1)
-    vals = kantorovich_pairs(rows[iu], rows[ju])
-    D = np.zeros((rows.shape[0],) * 2)
-    D[iu, ju] = D[ju, iu] = vals
-    return D[np.ix_(inv, inv)]
+    symbols, codes = np.unique(rows, return_inverse=True)
+    codes, L = codes.reshape(rows.shape), rows.shape[1]
+    T = (symbols[:, None] != symbols).astype(np.min_scalar_type(L))
+    while codes.shape[1] > 1:
+        kids = np.sort(codes.reshape(len(rows), -1, 2), axis=2)
+        keys, codes = np.unique(kids[..., 0] * len(T) + kids[..., 1],
+                                return_inverse=True)
+        codes = codes.reshape(len(rows), -1)
+        a, b = np.divmod(keys, len(T))
+        # a second gather costs less than a strided transpose of the first
+        Ta, Tb = T.take(a, axis=0), T.take(b, axis=0)
+        T = Ta.take(a, axis=1)
+        T += Tb.take(b, axis=1)
+        cross = Ta.take(b, axis=1)
+        cross += Tb.take(a, axis=1)
+        np.minimum(T, cross, out=T)
+    root = codes[inv, 0]
+    return (T / L).take(root, axis=0).take(root, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -204,16 +227,11 @@ def lemma17_entropy_exact(m: int, r: int, q: int, eps: float) -> float:
     return math.log2(max(balls, 1))
 
 
-def sample_invariant_configs(m: int, r: int, q: int, n: int, rng) -> np.ndarray:
-    """Uniform draws from the invariant configurations, as symbol rows."""
-    base = rng.integers(0, q, size=(n, 1 << (m - r)))
-    return np.repeat(base, 1 << r, axis=1)
-
-
 TERMINAL_DEPTH = 3
 
 
-def _split_entropy_bits(sym: np.ndarray, split_flags, eps: float) -> float:
+def _split_entropy_bits(sym: np.ndarray, split_flags, eps: float, memo: dict,
+                        offset: int = 0) -> float:
     """Block-additive covering estimate on symbol trees.
 
     split_flags[j] tells whether the level splitting on generator bit j is
@@ -221,33 +239,37 @@ def _split_entropy_bits(sym: np.ndarray, split_flags, eps: float) -> float:
     the iteration passes through them exactly; informative levels are
     treated as independent blocks and their estimates added (growth-class
     surrogate).  Depth <= TERMINAL_DEPTH instances use the exact pairwise
-    Kantorovich values with greedy covering.
+    Kantorovich values with greedy covering, kept in memo by (column
+    offset, depth): one memo serves one eps and arrays that extend one
+    another by columns, as the reduced arrays of one curve do.
     """
     m = sym.shape[1].bit_length() - 1
     if m <= TERMINAL_DEPTH:
-        return greedy_cover_bits(pairwise_dist_matrix(sym), eps)
+        if (offset, m) not in memo:
+            memo[offset, m] = greedy_cover_bits(pairwise_dist_matrix(sym), eps)
+        return memo[offset, m]
     h = 1 << (m - 1)
     first, second = sym[:, :h], sym[:, h:]
     if not split_flags[m - 1]:
         if not np.array_equal(first, second):
             raise ValueError("level flagged as degenerate but halves differ")
-        return _split_entropy_bits(first, split_flags, eps)
-    return (_split_entropy_bits(first, split_flags, eps)
-            + _split_entropy_bits(second, split_flags, eps))
+        return _split_entropy_bits(first, split_flags, eps, memo, offset)
+    return (_split_entropy_bits(first, split_flags, eps, memo, offset)
+            + _split_entropy_bits(second, split_flags, eps, memo, offset + h))
 
 
 def lemma17_entropy_estimate(m: int, r: int, q: int, eps: float,
                              n_samples: int = 256, seed: int = 0) -> float:
     """Monte Carlo covering estimate for larger invariant-configuration
-    instances, m <= ORBIT_DEPTH_MAX; invariance makes the bottom r levels
-    degenerate."""
+    instances, m <= ORBIT_DEPTH_MAX: uniform draws of the invariant
+    configurations, whose invariance makes the bottom r levels degenerate."""
     _check_orbit_args(m, q, r)
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-    rng = np.random.default_rng(seed)
-    sym = sample_invariant_configs(m, r, q, n_samples, rng)
+    base = np.random.default_rng(seed).integers(0, q, (n_samples, 1 << (m - r)))
+    sym = np.repeat(base, 1 << r, axis=1)
     flags = [j >= r for j in range(m)]
-    return _split_entropy_bits(sym, flags, eps)
+    return _split_entropy_bits(sym, flags, eps, {})
 
 
 # ---------------------------------------------------------------------------

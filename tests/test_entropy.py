@@ -1,11 +1,14 @@
+import itertools
 import math
+from functools import reduce
+from operator import or_
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adicop import entropy
+from adicop import entropy, measures
 from adicop.coding import CodedPoint
 from adicop.measures import MSigmaSampler, OmegaSigmaSampler
 
@@ -70,6 +73,31 @@ def within(D, eps):
     return D <= eps / 2 + 1e-12
 
 
+EXACT_COVER_LIMIT = 24
+
+
+def exact_cover_count(D, eps):
+    """Calibration reference for the greedy: the minimal number of
+    eps/2-balls centered at points leaving no more points uncovered than
+    the greedy may; exhaustive, tiny instances only."""
+    n = D.shape[0]
+    if n > EXACT_COVER_LIMIT:
+        raise ValueError(f"exact covering limited to {EXACT_COVER_LIMIT} points")
+    cover = within(D, eps)
+    masks = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in cover]
+    masks = sorted(set(masks), key=lambda m: -bin(m).count("1"))
+    # drop masks dominated by another
+    masks = [m for i, m in enumerate(masks)
+             if not any(m | o == o for o in masks[:i])]
+    need = n - entropy._max_uncovered(eps, n)
+    upper = entropy.greedy_cover_count(cover, eps)
+    for k in range(1, upper + 1):
+        for combo in itertools.combinations(masks, k):
+            if bin(reduce(or_, combo)).count("1") >= need:
+                return k
+    return upper
+
+
 class TestCovering:
     def test_greedy_zero_diameter(self):
         D = np.zeros((10, 10))
@@ -92,12 +120,12 @@ class TestCovering:
             D = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
             eps = rng.uniform(0.2, 0.8)
             g = entropy.greedy_cover_count(within(D, eps), eps)
-            e = entropy.exact_cover_count(D, eps)
+            e = exact_cover_count(D, eps)
             assert e <= g <= 2 * e + 1
 
     def test_exact_limit(self):
         with pytest.raises(ValueError):
-            entropy.exact_cover_count(np.zeros((30, 30)), 0.1)
+            exact_cover_count(np.zeros((30, 30)), 0.1)
 
     def test_exact_stops_like_greedy(self):
         # two points at distance 1, eps just above 1/2: eps * n exceeds one
@@ -106,7 +134,7 @@ class TestCovering:
         D = np.array([[0.0, 1.0], [1.0, 0.0]])
         eps = 0.5 + 1e-10
         assert entropy.greedy_cover_count(within(D, eps), eps) == 2
-        assert entropy.exact_cover_count(D, eps) == 2
+        assert exact_cover_count(D, eps) == 2
 
     def test_radius_rule_absorbs_float_rounding(self):
         # 0.1 + 0.2 exceeds 0.3 by one ulp; the rule's 1e-12 slack keeps
@@ -167,7 +195,7 @@ class TestGreedyIncremental:
     @given(cover_instances(12))
     def test_exact_at_most_greedy(self, inst):
         D, eps = inst
-        assert entropy.exact_cover_count(D, eps) <= \
+        assert exact_cover_count(D, eps) <= \
             entropy.greedy_cover_count(within(D, eps), eps)
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
@@ -386,6 +414,19 @@ class TestClosedForm:
             closed = (1 << n) * (1 - binary_entropy(self.EPS / 2))
             assert 1.0 <= bits / closed <= self.VOLUME_RATIO
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_z_aligned_ratio_in_band(self, seed):
+        # at t = 2**n the phase-aligned z-metric reads w on one translated
+        # copy of D_n: normalized Hamming on t uniform bits, the d-mode case
+        # above, drawn as the z curve draws it
+        sample = measures.draw_sharded(OmegaSigmaSampler((1,) * 8, 8, 8),
+                                       2000, seed, 1)
+        for n in range(4, 9):
+            fm = entropy.z_aligned_metric(sample["w"], sample["alpha"], 1 << n)
+            closed = (1 << n) * (1 - binary_entropy(self.EPS / 2))
+            bits = entropy.feature_entropy_bits(fm, self.EPS)
+            assert 1.0 <= bits / closed <= self.VOLUME_RATIO
+
 
 class TestCheckScales:
     @pytest.mark.parametrize("mode,scales,k", [
@@ -429,3 +470,14 @@ class TestCheckScales:
         monkeypatch.setattr(entropy.measures, "draw_sharded", refuse)
         with pytest.raises(ValueError, match="M = N"):
             entropy.scaling_curve_z(OmegaSigmaSampler((1,) * 4, 4, M), [4, 8])
+
+    def test_z_refuses_sampler_without_digits(self):
+        # a configuration-only sampler has no digit resolution at all
+        class ConfigsOnly:
+            N = 4
+
+            def draw(self, *args):
+                raise AssertionError("drawn before the sampler was checked")
+
+        with pytest.raises(ValueError, match="M = N"):
+            entropy.scaling_curve_z(ConfigsOnly(), [4, 8], n_samples=10)

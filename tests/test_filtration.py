@@ -1,12 +1,17 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from adicop import filtration
-from adicop.entropy import Semimetric, _max_uncovered, asymp_compare
+from adicop import filtration, measures
+from adicop.dyadic import sigma_extend
+from adicop.entropy import (Semimetric, _max_uncovered, asymp_compare,
+                            curve_sampler)
 
 
 def RNG(s=0):
@@ -95,6 +100,25 @@ class TestKantorovich:
             filtration.kantorovich(L1(), random_tree(rng, 1), random_tree(rng, 2))
 
 
+@st.composite
+def symbol_rows(draw):
+    """Symbol trees of depth 0-6 over 2-16 symbols: rows drawn from a small
+    pool, so that they repeat, and automorphism images of the first row."""
+    m, q = draw(st.integers(0, 6)), draw(st.integers(2, 16))
+    rng = RNG(draw(st.integers(0, 2 ** 32 - 1)))
+    pool = rng.integers(0, q, (draw(st.integers(1, 8)), 1 << m))
+    drawn = pool[rng.integers(0, len(pool), draw(st.integers(1, 24)))]
+    images = [random_automorphism_image(rng, pool[0])
+              for _ in range(draw(st.integers(1, 6)))]
+    return np.vstack([drawn, pool[:1], images]), len(images)
+
+
+def all_pairs_kernel(sym):
+    """dist_m on every ordered pair of rows, by the child-swap kernel."""
+    i, j = np.indices((len(sym),) * 2)
+    return filtration.kantorovich_pairs(sym[i], sym[j])
+
+
 class TestDistM:
     def test_equal(self):
         assert filtration.dist_m([0, 1, 1, 0], [0, 1, 1, 0]) == 0.0
@@ -135,6 +159,40 @@ class TestDistM:
         brute[iu, ju] = brute[ju, iu] = filtration.kantorovich_pairs(
             sym[iu], sym[ju])
         assert np.array_equal(filtration.pairwise_dist_matrix(sym), brute)
+
+    @settings(max_examples=150, deadline=None)
+    @given(symbol_rows())
+    def test_orbit_codes_match_kernel_exactly(self, inst):
+        sym, n_images = inst
+        D = filtration.pairwise_dist_matrix(sym)
+        want = all_pairs_kernel(sym)
+        assert D.dtype == want.dtype and np.array_equal(D, want)
+        # the first pool row and its automorphism images share one orbit
+        orbit = D[-n_images - 1:, -n_images - 1:]
+        assert np.all(orbit == 0)
+
+    def test_orbit_codes_match_kernel_on_bytes(self):
+        # the alphabet of k = 3 reductions: 256 symbols, few repeats
+        rng = RNG(13)
+        base = rng.integers(0, 256, (40, 8))
+        sym = np.vstack([base, base[rng.integers(0, 40, 20)],
+                         [random_automorphism_image(rng, base[0])
+                          for _ in range(4)]])
+        assert np.array_equal(filtration.pairwise_dist_matrix(sym),
+                              all_pairs_kernel(sym))
+
+    def test_matrix_memory_bound(self):
+        # 300 binary trees of depth 5: the tables between orbit codes stay
+        # small, where a 32 x 32 mismatch matrix per pair of rows reaches
+        # about 110 MB
+        sym = RNG(14).integers(0, 2, (300, 32))
+        tracemalloc.start()
+        try:
+            filtration.pairwise_dist_matrix(sym)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
     def test_kernel_matches_generic_recursion(self):
         # random pairs, near-automorphic pairs (an automorphism image with
@@ -434,6 +492,31 @@ class TestScalingCurve:
         curve = filtration.filtration_scaling((0,) * 8, 1, range(4, 9),
                                               eps=0.25, n_samples=200, seed=0)
         assert max(curve.bits()) <= 1.0
+
+    @pytest.mark.parametrize("sigma,blocks", [
+        ("111111111", 32), ("101010101", 8), ("000000000", 1)])
+    def test_each_terminal_block_estimated_once(self, sigma, blocks):
+        # the sweep's curves: the reduced arrays of levels 4-9 are column
+        # prefixes of one another, and their distinct terminal blocks are
+        # the 2**5, 2**3 and 2**0 blocks of the top level
+        with mock.patch.object(filtration, "pairwise_dist_matrix",
+                               wraps=filtration.pairwise_dist_matrix) as est:
+            filtration.filtration_scaling(tuple(map(int, sigma)), 1,
+                                          range(4, 10), n_samples=256, seed=0)
+        assert est.call_count == blocks
+
+    def test_shared_blocks_read_as_fresh_estimates(self):
+        # levels 2-7 over k = 1, in mixed order, reach terminal blocks of
+        # depth 1 to 3 at offset 0; each row equals its level's estimate
+        # with a memo of its own
+        sigma, levels = (1, 1, 0, 1, 0, 1, 1), [7, 2, 5, 3, 6, 4]
+        curve = filtration.filtration_scaling(sigma, 1, levels, n_samples=64)
+        sampler = curve_sampler("filtration", sigma, levels, 64, 1)
+        w = measures.draw_sharded(sampler, 64, 0, 1)["w"]
+        for s, eps, bits, *_ in curve.rows:
+            flags = [bool(f) for f in sigma_extend(sigma, s)[1:]]
+            assert bits == filtration._split_entropy_bits(
+                filtration.reduce_symbols(w, s, 1), flags, eps, {})
 
     def test_level_must_exceed_cut(self):
         with pytest.raises(ValueError):
