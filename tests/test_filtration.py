@@ -182,9 +182,9 @@ class TestDistM:
                               all_pairs_kernel(sym))
 
     def test_matrix_memory_bound(self):
-        # 300 binary trees of depth 5: the tables between orbit codes stay
-        # small, where a 32 x 32 mismatch matrix per pair of rows reaches
-        # about 110 MB
+        # 300 binary trees of depth 5: the tables between orbit codes take
+        # under 2 MiB; a 32 x 32 mismatch matrix per pair of rows, the
+        # kernel's layout, would take about 110 MB
         sym = RNG(14).integers(0, 2, (300, 32))
         tracemalloc.start()
         try:
