@@ -138,9 +138,11 @@ def _check_psi_bijection(depth):
 
 
 def _check_group_diagram(depth):
-    for x in graph.iter_paths(depth):
+    table = {x: coding.psi(x) for x in graph.iter_paths(depth)}
+    for x, p in table.items():
         for g in range(1 << depth):
-            if coding.psi(graph.kappa(g, x)) != coding.diag(g, coding.psi(x)):
+            y = table.get(graph.kappa(g, x))
+            if y is None or y != coding.diag(g, p):
                 return f"group diagram fails at {x!r}, g={g}"
     return None
 

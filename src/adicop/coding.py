@@ -14,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import graph
-from .dyadic import ResolutionError, alpha_value, check_mask, in_group, tau
+from .dyadic import (ResolutionError, alpha_digits, alpha_value, check_bits,
+                     check_mask, in_group, tau)
 
 
 class CodedPoint:
@@ -27,9 +28,7 @@ class CodedPoint:
         if w.ndim != 1 or w.size & (w.size - 1):
             raise ValueError("w must be a bit vector of length 2**N")
         self.w = w
-        self.alpha = tuple(int(a) for a in alpha)
-        if any(a not in (0, 1) for a in self.alpha):
-            raise ValueError("alpha digits must be bits")
+        self.alpha = check_bits(alpha)
         self.N = w.size.bit_length() - 1
         self.M = len(self.alpha)
 
@@ -38,7 +37,7 @@ class CodedPoint:
         return min(self.N, self.M)
 
     def __eq__(self, other):
-        return self.alpha == other.alpha and np.array_equal(self.w, other.w)
+        return self.alpha == other.alpha and self.w.tobytes() == other.w.tobytes()
 
     def __hash__(self):
         return hash((self.alpha, self.w.tobytes()))
@@ -109,7 +108,7 @@ def odometer(alpha) -> tuple[int, ...]:
     v = alpha_value(alpha)
     if v == (1 << len(alpha)) - 1:
         raise ResolutionError("odometer undefined at this resolution (all-ones digits)")
-    return graph.alpha_digits(v + 1, len(alpha))
+    return alpha_digits(v + 1, len(alpha))
 
 
 def odometer_inv(alpha) -> tuple[int, ...]:
@@ -117,7 +116,7 @@ def odometer_inv(alpha) -> tuple[int, ...]:
     v = alpha_value(alpha)
     if v == 0:
         raise ResolutionError("inverse odometer undefined at this resolution (all-zeros digits)")
-    return graph.alpha_digits(v - 1, len(alpha))
+    return alpha_digits(v - 1, len(alpha))
 
 
 def adic_on_coded(p: CodedPoint) -> CodedPoint:
@@ -130,13 +129,13 @@ def adic_on_coded(p: CodedPoint) -> CodedPoint:
     return CodedPoint(p.w[idx], nxt)
 
 
-def lambda_alpha(alpha, k: int) -> int:
+def lambda_alpha(alpha, k: int, a: int | None = None) -> int:
     """Group element at integer position k of the alpha-adapted enumeration.
 
-    With a = sum alpha_{i+1} 2^i, the representable integers are exactly
-    {-a, ..., -a + 2**M - 1} and the element is (k + a) XOR a.
+    With a = sum alpha_{i+1} 2^i (callers may pass it in), the integers
+    {-a, ..., -a + 2**M - 1} are representable; k maps to (k + a) XOR a.
     """
-    a = alpha_value(alpha)
+    a = alpha_value(alpha) if a is None else a
     u = k + a
     if not 0 <= u < (1 << len(alpha)):
         raise ResolutionError(
@@ -154,9 +153,10 @@ def lambda_segment(alpha, n: int) -> range:
 
 def lambda_window(p: CodedPoint, L: int) -> ZWindow:
     """Read w through lambda_alpha on the integer window [-L, L]."""
+    a = alpha_value(p.alpha)
     bits = []
     for k in range(-L, L + 1):
-        g = lambda_alpha(p.alpha, k)
+        g = lambda_alpha(p.alpha, k, a)
         if not in_group(g, p.N):
             raise ResolutionError(f"window index {k} escapes the w resolution")
         bits.append(p.w[g])

@@ -39,7 +39,12 @@ def tau(mask: int, length: int | None = None) -> tuple[int, ...]:
         length = mask.bit_length()
     if mask >> length:
         raise ResolutionError(f"mask {mask} does not fit in {length} digits")
-    return tuple((mask >> i) & 1 for i in range(length))
+    return alpha_digits(mask, length)
+
+
+def alpha_digits(value: int, length: int) -> tuple[int, ...]:
+    """The digit codec: the first `length` digits of a mask (alpha_value packs)."""
+    return tuple([(value >> i) & 1 for i in range(length)])
 
 
 def alpha_value(digits) -> int:
@@ -47,13 +52,17 @@ def alpha_value(digits) -> int:
     return sum(int(d) << i for i, d in enumerate(digits))
 
 
+def check_bits(digits) -> tuple[int, ...]:
+    """The digits as a tuple of ints; ValueError unless every one is a bit."""
+    digits = tuple(digits)
+    if not {0, 1}.issuperset(digits):
+        raise ValueError(f"digits {digits} are not all bits")
+    return tuple(map(int, digits))
+
+
 def tau_inv(digits) -> int:
     """Inverse of tau on finite digit sequences."""
-    digits = tuple(digits)
-    for d in digits:
-        if d not in (0, 1):
-            raise ValueError(f"digit {d} not a bit")
-    return check_mask(alpha_value(digits))
+    return check_mask(alpha_value(check_bits(digits)))
 
 
 def sigma_extend(sigma, n: int) -> tuple[int, ...]:

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dyadic import ResolutionError, alpha_value, in_group
+from .dyadic import (ResolutionError, alpha_digits, alpha_value, check_bits,
+                     in_group)
 
 EXHAUSTIVE_DEPTH = 4
 
@@ -40,7 +41,7 @@ class Vertex:
 
     def __eq__(self, other):
         return (self.floor == other.floor
-                and np.array_equal(self.label, other.label))
+                and self.label.tobytes() == other.label.tobytes())
 
     def __hash__(self):
         return hash((self.floor, self.label.tobytes()))
@@ -66,9 +67,7 @@ class PathPrefix:
     __slots__ = ("depth", "top", "alpha")
 
     def __init__(self, top: Vertex, alpha):
-        alpha = tuple(int(a) for a in alpha)
-        if any(a not in (0, 1) for a in alpha):
-            raise ValueError("edge ordinals must be bits")
+        alpha = check_bits(alpha)
         if len(alpha) != top.floor:
             raise DepthError("alpha length must equal the top floor")
         self.depth = top.floor
@@ -113,14 +112,14 @@ def iter_vertices(n: int):
         raise DepthError(f"exhaustive mode limited to depth {EXHAUSTIVE_DEPTH}")
     size = 1 << n
     for bits in range(1 << size):
-        yield Vertex(n, [(bits >> i) & 1 for i in range(size)])
+        yield Vertex(n, alpha_digits(bits, size))
 
 
 def iter_paths(n: int):
     """All path prefixes of depth n (top label and alpha both free)."""
     for v in iter_vertices(n):
         for a in range(1 << n):
-            yield PathPrefix(v, [(a >> i) & 1 for i in range(n)])
+            yield PathPrefix(v, alpha_digits(a, n))
 
 
 def paths_into(v: Vertex, exhaustive: bool = False) -> int:
@@ -130,15 +129,11 @@ def paths_into(v: Vertex, exhaustive: bool = False) -> int:
             raise DepthError(f"exhaustive mode limited to depth {EXHAUSTIVE_DEPTH}")
         count = 0
         for a in range(1 << v.floor):
-            p = PathPrefix(v, [(a >> i) & 1 for i in range(v.floor)])
+            p = PathPrefix(v, alpha_digits(a, v.floor))
             p.vertices()
             count += 1
         return count
     return 1 << v.floor
-
-
-def alpha_digits(value: int, length: int) -> tuple[int, ...]:
-    return tuple((value >> i) & 1 for i in range(length))
 
 
 def adic_successor(x: PathPrefix) -> PathPrefix:

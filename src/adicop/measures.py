@@ -24,7 +24,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .dyadic import coset_count, coset_index, sigma_extend
+from .dyadic import (alpha_value, check_bits, coset_count, coset_index,
+                     sigma_extend)
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +247,12 @@ class AperiodicSampler:
     def __init__(self, base, levels: OdometerLevels, alpha):
         self.base = base
         self.levels = levels
-        self.alpha = tuple(int(a) for a in alpha)
-        if any(a not in (0, 1) for a in self.alpha):
-            raise ValueError(f"alpha digits must be bits, got {self.alpha}")
+        self.alpha = check_bits(alpha)
         if len(self.alpha) > levels.max_level:
             raise ValueError("alpha longer than the level resolution")
         # finite digit specs are zero-extended to the full resolution
         self.M = levels.max_level
-        self.r_mask = sum(a << i for i, a in enumerate(self.alpha))
+        self.r_mask = alpha_value(self.alpha)
         check_eigen_consistency(base, levels, np.random.default_rng(0))
 
     def draw(self, n: int, lo: int, hi: int, rng, k: int = 0,

@@ -6,9 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from adicop import cli, entropy, filtration
+from adicop import cli, coding, entropy, filtration, graph
 from adicop.measures import MSigmaSampler, OmegaSigmaSampler
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,6 +47,54 @@ class TestOracle:
 
     def test_depth_zero_runs(self, capsys):
         assert run(["oracle", "--depth", "0"]) == 0
+
+
+def _relabel_kappa(monkeypatch, edit):
+    """kappa followed by `edit` on a copy of the top label."""
+    kappa = graph.kappa
+
+    def broken(g, x):
+        y = kappa(g, x)
+        label = y.top.label.copy()
+        edit(label)
+        return graph.PathPrefix(graph.Vertex(y.depth, label), y.alpha)
+    monkeypatch.setattr(graph, "kappa", broken)
+
+
+def _flip_bit(label):
+    label[-1] ^= 1
+
+
+def _set_two(label):
+    label[0] = 2   # not a bit: the path lies outside the coded table
+
+
+def _diag_keeps_alpha_at_g1(monkeypatch):
+    diag = coding.diag
+
+    def broken(g, p):
+        if g == 1:   # translate w but skip the tau(g) XOR of the digits
+            return coding.CodedPoint(p.w[np.arange(p.w.size) ^ g], p.alpha)
+        return diag(g, p)
+    monkeypatch.setattr(coding, "diag", broken)
+
+
+class TestOraclePower:
+    @pytest.mark.parametrize("breakage", [
+        lambda mp: _relabel_kappa(mp, _flip_bit),
+        lambda mp: _relabel_kappa(mp, _set_two),
+        _diag_keeps_alpha_at_g1,
+    ], ids=["kappa-flips-top-label-bit", "kappa-leaves-table",
+            "diag-skips-tau-at-g1"])
+    def test_broken_intertwining_fails(self, monkeypatch, capsys, tmp_path,
+                                       breakage):
+        breakage(monkeypatch)
+        out = tmp_path / "oracle.json"
+        assert run(["oracle", "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert report["checks"]["group-action-diagram"] == "fail"
+        assert set(report["failures"]) == {"group-action-diagram"}
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestScaling:

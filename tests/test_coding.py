@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from adicop import coding, dyadic, graph
 from adicop.dyadic import ResolutionError, tau
@@ -54,6 +55,17 @@ class TestGroupDiagram:
                 dia = tuple(x ^ t for x, t in zip(alpha, tau(g, 4)))
                 assert kap == dia
 
+    def test_random_pairs_at_depths_8_to_12(self):
+        # beyond the exhaustive depth: psi(kappa(g, x)) = diag(g, psi(x))
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            depth = int(rng.integers(8, 13))
+            label = rng.integers(0, 2, 1 << depth).astype(np.uint8)
+            x = graph.PathPrefix(graph.Vertex(depth, label),
+                                 rng.integers(0, 2, depth))
+            g = int(rng.integers(0, 1 << depth))
+            assert coding.psi(graph.kappa(g, x)) == coding.diag(g, coding.psi(x))
+
     def test_diag_is_action(self):
         rng = np.random.default_rng(0)
         p = random_point(rng, 4)
@@ -92,6 +104,28 @@ class TestOdometer:
             assert lhs == rhs
 
 
+def bit_lists(n):
+    return st.lists(st.integers(0, 1), min_size=n, max_size=n)
+
+
+# short w and alpha, so that equal points are drawn often
+coded_points = st.tuples(st.integers(0, 2), st.integers(0, 2)).flatmap(
+    lambda nm: st.builds(coding.CodedPoint, bit_lists(1 << nm[0]),
+                         bit_lists(nm[1])))
+
+
+class TestCodedPointEquality:
+    @given(coded_points, coded_points)
+    def test_eq_is_w_and_alpha(self, p, q):
+        # w and alpha lengths may differ; equal points hash equal
+        want = p.alpha == q.alpha and np.array_equal(p.w, q.w)
+        assert (p == q) == want == (q == p)
+        if want:
+            assert hash(p) == hash(q)
+        copy = coding.CodedPoint(p.w.copy(), list(p.alpha))
+        assert p == copy and hash(p) == hash(copy)
+
+
 class TestLambda:
     def test_zero_alpha_is_identity_on_masks(self):
         alpha = (0, 0, 0)
@@ -118,6 +152,24 @@ class TestLambda:
     def test_out_of_segment(self):
         with pytest.raises(ResolutionError):
             coding.lambda_alpha((0, 0), -1)
+
+    @given(st.integers(1, 8).flatmap(
+        lambda M: st.tuples(bit_lists(M), st.integers(0, 1 << M))),
+        st.integers(0, 2 ** 32 - 1))
+    def test_window_reads_lambda_alpha(self, alpha_L, seed):
+        # same bits as position-by-position lambda_alpha, and the same
+        # ResolutionError, at the same k, when [-L, L] leaves the segment
+        alpha, L = alpha_L
+        w = np.random.default_rng(seed).integers(0, 2, 1 << len(alpha))
+        p = coding.CodedPoint(w, alpha)
+        try:
+            want = [p.w[coding.lambda_alpha(alpha, k)] for k in range(-L, L + 1)]
+        except ResolutionError as err:
+            with pytest.raises(ResolutionError) as got:
+                coding.lambda_window(p, L)
+            assert str(got.value) == str(err)
+        else:
+            assert coding.lambda_window(p, L).bits.tolist() == want
 
 
 class TestAdicDiagram:

@@ -1,9 +1,10 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from adicop import dyadic
+from adicop import coding, dyadic, graph, measures
 
 masks8 = st.integers(min_value=0, max_value=255)
 
@@ -25,6 +26,23 @@ class TestGroupLaws:
     def test_membership(self, a):
         assert dyadic.in_group(a, 8)
         assert dyadic.in_group(a, 4) == (a < 16)
+
+
+@pytest.mark.parametrize("digits", [(0, 2), (0.5,), (1, -1)])
+def test_one_bit_check_refuses_non_bits(digits):
+    # every digit consumer refuses a non-bit, none truncates it
+    n = len(digits)
+    base = measures.ToeplitzBase()
+    consumers = [
+        lambda: dyadic.tau_inv(digits),
+        lambda: coding.CodedPoint(np.zeros(1 << n), digits),
+        lambda: graph.PathPrefix(graph.Vertex(n, np.zeros(1 << n)), digits),
+        lambda: measures.AperiodicSampler(
+            base, measures.OdometerLevels(base.R), digits),
+    ]
+    for build in consumers:
+        with pytest.raises(ValueError, match="not all bits"):
+            build()
 
 
 class TestTau:

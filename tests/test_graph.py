@@ -79,6 +79,27 @@ class TestAdicOrder:
         assert graph.adic_successor(x).alpha == (0, 0, 1, 1)
 
 
+def bit_lists(n):
+    return st.lists(st.integers(0, 1), min_size=n, max_size=n)
+
+
+# small floors, so that equal vertices are drawn often
+vertices = st.integers(0, 2).flatmap(
+    lambda f: bit_lists(1 << f).map(lambda bits: graph.Vertex(f, bits)))
+
+
+class TestVertexEquality:
+    @given(vertices, vertices)
+    def test_eq_is_floor_and_label(self, u, v):
+        # label lengths differ across floors; equal vertices hash equal
+        want = u.floor == v.floor and np.array_equal(u.label, v.label)
+        assert (u == v) == want == (v == u)
+        if want:
+            assert hash(u) == hash(v)
+        copy = graph.Vertex(u.floor, u.label.copy())
+        assert u == copy and hash(u) == hash(copy)
+
+
 class TestKappa:
     def test_orbits_are_free(self):
         # the D_n-orbit of any path hits every alpha exactly once
