@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import graph
-from .dyadic import (ResolutionError, alpha_digits, alpha_value, check_bits,
-                     check_mask, in_group, tau)
+from .dyadic import (N_MAX, ResolutionError, alpha_digits, alpha_value,
+                     check_bits, check_mask, in_group, tau)
 
 
 class CodedPoint:
@@ -86,12 +86,20 @@ def psi(x: graph.PathPrefix) -> CodedPoint:
     return CodedPoint(x.top.label[idx], x.alpha)
 
 
+def vertex_labels(w: np.ndarray, a, n: int) -> np.ndarray:
+    """Floor-n vertex labels of coded paths, vectorized over the rows of w
+    with digit values a: psi_inv's index map, the top label reads w at
+    j XOR a.  The floor-n vertex keeps the n lowest digits, so its label
+    reads w at j XOR (a mod 2**n), j < 2**n."""
+    idx = np.arange(1 << n) ^ (np.asarray(a)[..., None] % (1 << n))
+    return np.take_along_axis(w, idx, axis=-1)
+
+
 def psi_inv(p: CodedPoint) -> graph.PathPrefix:
     if p.N != p.M:
         raise ResolutionError("psi_inv needs matching resolutions N = M")
-    a = alpha_value(p.alpha)
-    idx = np.arange(1 << p.N) ^ a
-    return graph.PathPrefix(graph.Vertex(p.N, p.w[idx]), p.alpha)
+    top = vertex_labels(p.w, alpha_value(p.alpha), p.N)
+    return graph.PathPrefix(graph.Vertex(p.N, top), p.alpha)
 
 
 def diag(g: int, p: CodedPoint) -> CodedPoint:
@@ -152,12 +160,22 @@ def lambda_segment(alpha, n: int) -> range:
 
 
 def lambda_window(p: CodedPoint, L: int) -> ZWindow:
-    """Read w through lambda_alpha on the integer window [-L, L]."""
+    """Read w through lambda_alpha on the integer window [-L, L].
+
+    With b = min(N, N_MAX) and a_b the digit value a reduced mod 2**b,
+    position k is read iff 0 <= k + a < 2**M (the segment) and
+    0 <= k + a_b < 2**b (the image (k + a) XOR a = (k + a_b) XOR a_b lies
+    in D_b).  Both are intervals around 0, so the bounds are checked once
+    and the bits are read in one gather; otherwise the first escaping k
+    raises the error position-by-position reading would.
+    """
     a = alpha_value(p.alpha)
-    bits = []
-    for k in range(-L, L + 1):
-        g = lambda_alpha(p.alpha, k, a)
-        if not in_group(g, p.N):
-            raise ResolutionError(f"window index {k} escapes the w resolution")
-        bits.append(p.w[g])
-    return ZWindow(-L, L, bits)
+    b = min(p.N, N_MAX)
+    a_b = a % (1 << b)
+    last = min((1 << p.M) - a, (1 << b) - a_b) - 1
+    if L > a_b or L > last:
+        k = -L if L > a_b else last + 1
+        lambda_alpha(p.alpha, k, a)  # the segment and D_N_MAX errors
+        raise ResolutionError(f"window index {k} escapes the w resolution")
+    ks = np.arange(-L, L + 1)
+    return ZWindow(-L, L, p.w[(ks + a_b) ^ a_b])

@@ -2,19 +2,22 @@
 
 The estimator covers an i.i.d. sample greedily with balls of radius eps/2
 (so covered sets have diameter below eps) until the uncovered fraction
-drops below eps, and reports log2 of the ball count.  Ball gains are kept
-incrementally, as in accelerated greedy (Minoux 1978): O(n^2) per cover
-instead of O(balls * n^2), with the same counts as plain greedy.
+drops below eps, and reports log2 of the ball count.  Balls are the
+columns of a bool cover relation: cover[i, j] reads "point i lies in the
+ball around j".  Ball gains are column sums, kept incrementally as in
+accelerated greedy (Minoux 1978): O(n^2) per cover instead of
+O(balls * n^2), with the same counts as plain greedy.
 
 Averaged cut semimetrics are weighted Hamming distances over a binary
 feature matrix with integer column multiplicities, counted by XOR and
-popcount on bit-packed rows.  A fixed sample cannot count covers beyond
-about log2(sample size) bits, so high-dimensional feature metrics are
-estimated block-additively: duplicate columns are collapsed exactly, the
-rest are split into blocks of bounded effective dimension, and the
-per-block greedy estimates are summed.  Summing is the subadditive covering
-bound for a split rho <= rho_1 + rho_2 and is exact up to the
-multiplicative constants that the growth-class comparison absorbs.
+popcount on bit-packed rows, one block of rows at a time.  A fixed sample
+cannot count covers beyond about log2(sample size) bits, so
+high-dimensional feature metrics are estimated block-additively:
+duplicate columns are collapsed exactly, the rest are split into blocks
+of bounded effective dimension, and the per-block greedy estimates are
+summed.  Summing is the subadditive covering bound for a split
+rho <= rho_1 + rho_2 and is exact up to the multiplicative constants that
+the growth-class comparison absorbs.
 """
 
 from __future__ import annotations
@@ -114,7 +117,8 @@ def _max_uncovered(eps: float, n: int) -> int:
 
 
 def _cover_relation(D: np.ndarray, unit, eps: float) -> np.ndarray:
-    # the one radius rule: D / unit <= eps/2, with slack for float rounding
+    # the one radius rule: D / unit <= eps/2, with slack for float rounding;
+    # entry [i, j] reads "i lies in the ball around j"
     bound = unit * (eps / 2 + 1e-12)
     if D.dtype.kind in "iu" and math.isfinite(bound):
         # integer counts: the integer floor decides the same, without a
@@ -123,32 +127,41 @@ def _cover_relation(D: np.ndarray, unit, eps: float) -> np.ndarray:
     return D <= bound
 
 
+COVER_ROWS = 64  # rows of the relation summed at once when points get covered
+
+
 def greedy_cover_count(cover: np.ndarray, eps: float) -> int:
     """Balls of radius eps/2 around sample points, greedily chosen to cover
     the most uncovered points, until fewer than an eps fraction is left.
 
-    cover[i, j] is the bool relation "j lies in the ball around i"; it
-    need not be symmetric.  gains[i] counts the uncovered points in ball i;
-    covering point j subtracts column j of the relation, which costs
-    O(n^2 + sum of newly covered * n) per call.  The gains are exact
-    integers, so argmax ties and the count are those of plain greedy.
+    cover[i, j] is the bool relation "i lies in the ball around j"; it
+    need not be symmetric.  gains[j] counts the uncovered points in ball j,
+    a column sum; the chosen ball's members are its column, and covering
+    point i subtracts row i of the relation, COVER_ROWS rows at a time, so
+    no n x n copy is made.  This costs O(n^2 + sum of newly covered * n)
+    per call.  The gains are exact integers in the narrowest dtype that
+    holds n, so argmax ties (the earliest index) and the count are those
+    of plain greedy.
     """
     if cover.dtype != bool:
         raise TypeError(f"cover must be a bool relation, got {cover.dtype}")
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and positive, got {eps!r}")
-    cover_t = np.ascontiguousarray(cover.T)
-    gains = cover.sum(axis=1)
-    uncovered = np.ones(len(cover), dtype=bool)
-    allow = _max_uncovered(eps, len(cover))
+    n = len(cover)
+    dt = np.min_scalar_type(n)
+    gains = cover.sum(axis=0, dtype=dt)
+    uncovered = np.ones(n, dtype=bool)
+    left, allow = n, _max_uncovered(eps, n)
     balls = 0
-    while np.count_nonzero(uncovered) > allow:
+    while left > allow:
         c = int(np.argmax(gains))
         if gains[c] == 0:
             raise ValueError("uncovered points lie in no ball")
-        new = np.flatnonzero(cover[c] & uncovered)
+        new = np.flatnonzero(cover[:, c] & uncovered)
         uncovered[new] = False
-        gains -= cover_t[new].sum(axis=0)
+        left -= len(new)
+        for s in range(0, len(new), COVER_ROWS):
+            gains -= cover[new[s:s + COVER_ROWS]].sum(axis=0, dtype=dt)
         balls += 1
     return max(balls, 1)
 
@@ -160,6 +173,9 @@ def greedy_cover_bits(D: np.ndarray, eps: float) -> float:
 # ---------------------------------------------------------------------------
 # feature-based weighted Hamming metrics
 
+ROW_BLOCK = 128  # rows of a pair matrix counted at once
+
+
 @dataclass
 class FeatureMetric:
     """Weighted Hamming over binary feature columns with integer column
@@ -170,17 +186,27 @@ class FeatureMetric:
     weights: np.ndarray    # (d,) integer multiplicities
 
     def pair_matrix(self) -> np.ndarray:
-        """Integer counts M = metric * W.  Each 16-bit word of packed
-        columns of multiplicity k adds k * popcount(x_i ^ x_j); k is cast to
-        the dtype of W (a Python int would multiply in uint8 and wrap)."""
+        """Integer counts M = metric * W.  Each byte of packed columns of
+        multiplicity k adds k * popcount(x_i ^ x_j); k is cast to the dtype
+        of W (a Python int would multiply in uint8 and wrap).  Rows are
+        counted ROW_BLOCK at a time in one reused byte buffer, so no n x n
+        temporary is made besides M."""
+        n = len(self.X)
         dt = np.min_scalar_type(int(self.weights.sum()))
-        M = np.zeros((len(self.X),) * 2, dt)
+        words = []  # (k, one packed byte of every row)
         for k in np.unique(self.weights):
-            cols = np.ascontiguousarray(self.X[:, self.weights == k])
-            packed = np.packbits(cols, axis=1)
-            packed = np.pad(packed, ((0, 0), (0, packed.shape[1] % 2)))
-            for word in packed.view(np.uint16).T:
-                M += np.bitwise_count(word[:, None] ^ word) * dt.type(k)
+            packed = np.packbits(self.X[:, self.weights == k], axis=1)
+            words += [(dt.type(k), word)
+                      for word in np.ascontiguousarray(packed.T)]
+        M = np.zeros((n, n), dt)
+        buf = np.empty((min(n, ROW_BLOCK), n), np.uint8)
+        for r in range(0, n, ROW_BLOCK):
+            block = M[r:r + ROW_BLOCK]
+            x = buf[:len(block)]
+            for k, word in words:
+                np.bitwise_xor(word[r:r + ROW_BLOCK, None], word, out=x)
+                np.bitwise_count(x, out=x)
+                block += x if k == 1 else x * k
         return M
 
     def dedup(self) -> "FeatureMetric":

@@ -32,6 +32,21 @@ class TestPsi:
             coding.psi_inv(p)
 
 
+class TestVertexLabels:
+    def test_rows_read_the_path_vertices(self):
+        # row i of the vectorized reader is floor n of psi_inv's path
+        rng = np.random.default_rng(13)
+        N = 6
+        w = rng.integers(0, 2, (40, 1 << N)).astype(np.uint8)
+        a = rng.integers(0, 1 << N, 40)
+        for n in range(N + 1):
+            labels = coding.vertex_labels(w, a, n)
+            for i in range(40):
+                p = coding.CodedPoint(w[i], dyadic.alpha_digits(int(a[i]), N))
+                assert np.array_equal(labels[i],
+                                      coding.psi_inv(p).vertex(n).label)
+
+
 class TestGroupDiagram:
     def test_exhaustive_depth2(self):
         # psi intertwines the edge-flip action with the diagonal action
@@ -126,6 +141,15 @@ class TestCodedPointEquality:
         assert p == copy and hash(p) == hash(copy)
 
 
+@st.composite
+def windows(draw):
+    """Digits, a w resolution N and a half-width L up to 2**min(M, N), so
+    that [-L, L] often leaves the segment or D_N, from either end."""
+    M = draw(st.integers(1, 8))
+    N = draw(st.integers(0, 9))
+    return draw(bit_lists(M)), N, draw(st.integers(0, 1 << min(M, N)))
+
+
 class TestLambda:
     def test_zero_alpha_is_identity_on_masks(self):
         alpha = (0, 0, 0)
@@ -153,17 +177,23 @@ class TestLambda:
         with pytest.raises(ResolutionError):
             coding.lambda_alpha((0, 0), -1)
 
-    @given(st.integers(1, 8).flatmap(
-        lambda M: st.tuples(bit_lists(M), st.integers(0, 1 << M))),
-        st.integers(0, 2 ** 32 - 1))
-    def test_window_reads_lambda_alpha(self, alpha_L, seed):
+    @given(windows(), st.integers(0, 2 ** 32 - 1))
+    def test_window_reads_lambda_alpha(self, window, seed):
         # same bits as position-by-position lambda_alpha, and the same
         # ResolutionError, at the same k, when [-L, L] leaves the segment
-        alpha, L = alpha_L
-        w = np.random.default_rng(seed).integers(0, 2, 1 << len(alpha))
+        # or, at a w resolution N other than M, D_N
+        alpha, N, L = window
+        w = np.random.default_rng(seed).integers(0, 2, 1 << N)
         p = coding.CodedPoint(w, alpha)
+
+        def read(k):
+            g = coding.lambda_alpha(alpha, k)
+            if g >= 1 << N:
+                raise ResolutionError(f"window index {k} escapes the w resolution")
+            return p.w[g]
+
         try:
-            want = [p.w[coding.lambda_alpha(alpha, k)] for k in range(-L, L + 1)]
+            want = [read(k) for k in range(-L, L + 1)]
         except ResolutionError as err:
             with pytest.raises(ResolutionError) as got:
                 coding.lambda_window(p, L)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from functools import reduce
 from operator import or_
 from unittest import mock
@@ -69,7 +70,7 @@ class TestSemimetrics:
 
 
 def within(D, eps):
-    """The float layer's cover relation."""
+    """The float layer's cover relation; column j is the ball around j."""
     return D <= eps / 2 + 1e-12
 
 
@@ -84,7 +85,7 @@ def exact_cover_count(D, eps):
     if n > EXACT_COVER_LIMIT:
         raise ValueError(f"exact covering limited to {EXACT_COVER_LIMIT} points")
     cover = within(D, eps)
-    masks = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in cover]
+    masks = [sum(1 << int(i) for i in np.flatnonzero(ball)) for ball in cover.T]
     masks = sorted(set(masks), key=lambda m: -bin(m).count("1"))
     # drop masks dominated by another
     masks = [m for i, m in enumerate(masks)
@@ -158,12 +159,13 @@ class TestCovering:
 
 
 def reference_greedy(D, eps):
-    """Plain greedy: recompute every ball's gain with a matmul per ball."""
+    """Plain greedy: recompute every ball's gain with a matmul per ball;
+    balls are the columns of the cover relation."""
     cover = within(D, eps)
     uncovered = np.ones(D.shape[0])
     balls = 0
     while uncovered.sum() > entropy._max_uncovered(eps, D.shape[0]):
-        uncovered[cover[int(np.argmax(cover @ uncovered))]] = 0.0
+        uncovered[cover[:, int(np.argmax(uncovered @ cover))]] = 0.0
         balls += 1
     return max(balls, 1)
 
@@ -426,6 +428,61 @@ class TestClosedForm:
             closed = (1 << n) * (1 - binary_entropy(self.EPS / 2))
             bits = entropy.feature_entropy_bits(fm, self.EPS)
             assert 1.0 <= bits / closed <= self.VOLUME_RATIO
+
+
+class TestZSampleLimited:
+    def test_direct_estimate_grows_with_samples(self):
+        # alternating sigma at t = 256: the direct z-estimate sits just
+        # under the sample ceiling log2(n - floor(eps * n)) and climbs with
+        # it, about one bit per doubling of n, on nested samples of one draw
+        eps, t = 0.25, 256
+        sample = measures.draw_sharded(
+            OmegaSigmaSampler((1, 0) * 4, 8, 8), 1000, 0, 1)
+        readings = []
+        for n in (250, 500, 1000):
+            fm = entropy.z_feature_metric(sample["w"][:n],
+                                          sample["alpha"][:n], t)
+            bits = entropy.feature_entropy_bits(fm, eps, block_dim=None)
+            ceiling = math.log2(n - math.floor(eps * n))
+            assert ceiling - 0.25 <= bits <= ceiling
+            readings.append(bits)
+        assert all(b - a > 0.5 for a, b in zip(readings, readings[1:]))
+
+
+def peak_bytes(fn, *args):
+    """Peak traced allocation of one call, its result included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestKernelMemory:
+    N = 2000
+
+    def block(self):
+        X = RNG(8).integers(0, 2, (self.N, 16)).astype(np.uint8)
+        return entropy.FeatureMetric(X, np.ones(16, dtype=np.int64))
+
+    @pytest.mark.parametrize("relation", ["block", "one ball"])
+    def test_greedy_makes_no_n_by_n_copy(self, relation):
+        # a transposed copy of the relation alone takes n**2 bytes; the
+        # one-ball relation covers every point with the first ball
+        n = self.N
+        if relation == "block":
+            cover = entropy._cover_relation(self.block().pair_matrix(), 16, 0.25)
+        else:
+            cover = np.ones((n, n), bool)
+        assert peak_bytes(entropy.greedy_cover_count, cover, 0.25) < n * n // 8
+
+    def test_pair_matrix_makes_no_n_by_n_temporary(self):
+        # the result (n**2 bytes at total weight 16) plus a quarter of it
+        # for packing and the row-block buffer; an n x n XOR plane alone
+        # would take 2 n**2 bytes
+        n = self.N
+        assert peak_bytes(self.block().pair_matrix) < n * n * 5 // 4
 
 
 class TestCheckScales:

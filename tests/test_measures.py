@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from adicop import measures
+from adicop import coding, measures
 
 
 def RNG(s=0):
@@ -259,6 +259,53 @@ class TestCentrality:
         # different windows of the same deterministic word
         control = measures.ProductSampler(measures.AtomicBase(PERIOD8, [0]), 8)
         assert centrality_defect(control, n, 2000, RNG(41)) > 0.5
+
+
+def d_centrality_defect(sample, n, rows):
+    """Largest TV between the laws of the depth-n vertex given the n lowest
+    digits r of alpha, over all pairs r < 2**n, each law read from the first
+    `rows` sample rows with that r.
+
+    The D-action flips edge ordinals, so the coded measure is central for it
+    when, given the depth-n vertex, all 2**n edge sequences (the values of
+    r) are equally likely; r is uniform, so that holds when the laws of the
+    vertex given r agree for every r.
+    """
+    labels = coding.vertex_labels(sample["w"], sample["alpha"], n)
+    codes = labels.astype(np.int64) @ (1 << np.arange(1 << n))
+    r = sample["alpha"] % (1 << n)
+    tables = []
+    for k in range(1 << n):
+        pick = codes[r == k][:rows]
+        assert len(pick) == rows
+        tables.append(np.bincount(pick, minlength=1 << (1 << n)) / rows)
+    return max(0.5 * np.abs(p - q).sum()
+               for p, q in itertools.combinations(tables, 2))
+
+
+class TestDCentrality:
+    ROWS = 10000   # per edge sequence; the draw holds 5/4 of that on average
+
+    def draw(self, sigma, n, seed):
+        sampler = measures.OmegaSigmaSampler(sigma, 8, 8)
+        return sampler.draw(self.ROWS * 5 // 4 << n, RNG(seed))
+
+    @pytest.mark.parametrize("sigma", [(1,) * 8, (1, 0) * 4, (0,) * 8])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_omega_sigma_codes_to_central(self, sigma, n):
+        # the vertex has 2**(2**n) values; the tolerance is the per-pair
+        # bound, fixed before the draw
+        tol = tv_noise_bound(1 << (1 << n), self.ROWS)
+        sample = self.draw(sigma, n, 42)
+        assert d_centrality_defect(sample, n, self.ROWS) <= tol
+
+    def test_w0_forced_to_zero_is_not_central(self):
+        # not D_1-invariant: the depth-1 vertex is (0, w(1)) when the first
+        # edge is 0 and (w(1), 0) when it is 1
+        tol = tv_noise_bound(4, self.ROWS)
+        sample = self.draw((1,) * 8, 1, 43)
+        sample["w"][:, 0] = 0
+        assert d_centrality_defect(sample, 1, self.ROWS) > tol
 
 
 class TestAperiodic:
