@@ -472,7 +472,8 @@ class TestKernelMemory:
         # one-ball relation covers every point with the first ball
         n = self.N
         if relation == "block":
-            cover = entropy._cover_relation(self.block().pair_matrix(), 16, 0.25)
+            counts = self.block().pair_matrix()
+            cover = entropy._cover_relation(counts, 16, 0.25)
         else:
             cover = np.ones((n, n), bool)
         assert peak_bytes(entropy.greedy_cover_count, cover, 0.25) < n * n // 8
