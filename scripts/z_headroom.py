@@ -42,12 +42,12 @@ def main():
             sample = measures.draw_sharded(sampler, n, args.seed, 1)
             w, alpha = sample["w"], sample["alpha"]
             for t in args.times:
-                direct = entropy.z_feature_metric(w, alpha, t)
-                aligned = entropy.z_aligned_metric(w, alpha, t)
-                for eps in args.eps:
-                    d = entropy.feature_entropy_bits(direct, eps,
-                                                     block_dim=None)
-                    a = entropy.feature_entropy_bits(aligned, eps)
+                direct = entropy.feature_entropy_bits(
+                    entropy.z_feature_metric(w, alpha, t), args.eps,
+                    block_dim=None)
+                aligned = entropy.feature_entropy_bits(
+                    entropy.z_aligned_metric(w, alpha, t), args.eps)
+                for eps, d, a in zip(args.eps, direct, aligned):
                     ceiling = math.log2(n - math.floor(eps * n))
                     winner = ("direct" if d > a else "aligned" if a > d
                               else "tie")

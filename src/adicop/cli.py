@@ -451,6 +451,8 @@ def main(argv=None) -> int:
                                      + argv[1:])
         if args.seed < 0:
             raise UsageError(f"seed must be nonnegative, got {args.seed}")
+        if args.workers < 1:
+            raise UsageError(f"workers must be at least 1, got {args.workers}")
         # workers sets parallelism only and must not alter output bytes
         cfg = {key: val for key, val in vars(args).items()
                if key not in ("config", "out", "workers")}

@@ -2,11 +2,13 @@
 
 The estimator covers an i.i.d. sample greedily with balls of radius eps/2
 (so covered sets have diameter below eps) until the uncovered fraction
-drops below eps, and reports log2 of the ball count.  Balls are the
-columns of a bool cover relation: cover[i, j] reads "point i lies in the
-ball around j".  Ball gains are column sums, kept incrementally as in
-accelerated greedy (Minoux 1978): O(n^2) per cover instead of
-O(balls * n^2), with the same counts as plain greedy.
+drops below eps, and reports log2 of the ball count.  Copies of a point
+(equal feature rows, or symbol trees in one automorphism orbit) are one
+point weighted by their count, numbered by first occurrence.  Balls are
+the columns of a symmetric bool cover relation: cover[i, j] reads "point i
+lies in the ball around j".  Ball gains are count-weighted column sums,
+kept incrementally as in accelerated greedy (Minoux 1978): O(n^2) per
+cover instead of O(balls * n^2), with the same counts as plain greedy.
 
 Averaged cut semimetrics are weighted Hamming distances over a binary
 feature matrix with integer column multiplicities, counted by XOR and
@@ -116,58 +118,89 @@ def _max_uncovered(eps: float, n: int) -> int:
     return math.floor(Fraction(eps) * n - Fraction(1e-9))
 
 
-def _cover_relation(D: np.ndarray, unit, eps: float) -> np.ndarray:
+def _cover_relation(D: np.ndarray, unit, eps: float, out) -> np.ndarray:
     # the one radius rule: D / unit <= eps/2, with slack for float rounding;
-    # entry [i, j] reads "i lies in the ball around j"
+    # entry [i, j] reads "i lies in the ball around j"; out may be None
     bound = unit * (eps / 2 + 1e-12)
     if D.dtype.kind in "iu" and math.isfinite(bound):
         # integer counts: the integer floor decides the same, without a
         # float64 pass over D
         bound = math.floor(bound)
-    return D <= bound
+    return np.less_equal(D, bound, out=out)
 
 
 COVER_ROWS = 64  # rows of the relation summed at once when points get covered
 
 
-def greedy_cover_count(cover: np.ndarray, eps: float) -> int:
-    """Balls of radius eps/2 around sample points, greedily chosen to cover
-    the most uncovered points, until fewer than an eps fraction is left.
+def greedy_cover_count(cover: np.ndarray, eps: float, counts: np.ndarray) -> int:
+    """Balls of radius eps/2 around distinct sample points, greedily chosen
+    to cover the most uncovered sample weight, until at most an eps
+    fraction of it is left; point i was drawn counts[i] >= 1 times.
 
-    cover[i, j] is the bool relation "i lies in the ball around j"; it
-    need not be symmetric.  gains[j] counts the uncovered points in ball j,
-    a column sum; the chosen ball's members are its column, and covering
-    point i subtracts row i of the relation, COVER_ROWS rows at a time, so
-    no n x n copy is made.  This costs O(n^2 + sum of newly covered * n)
-    per call.  The gains are exact integers in the narrowest dtype that
-    holds n, so argmax ties (the earliest index) and the count are those
-    of plain greedy.
+    cover[i, j] is the bool relation "i lies in the ball around j"; it must
+    be symmetric, because a chosen ball's members are read from the
+    contiguous row cover[c].  gains[j], the uncovered weight in ball j, is
+    a column sum, less the rows of newly covered points (COVER_ROWS at a
+    time) and count - 1 more times the row of each point with copies; no
+    n x n copy is made.  Copies would share a column and argmax takes the
+    earliest index, so with points numbered by first occurrence the balls
+    are those of plain greedy on the sample with every copy listed.
     """
     if cover.dtype != bool:
         raise TypeError(f"cover must be a bool relation, got {cover.dtype}")
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and positive, got {eps!r}")
-    n = len(cover)
-    dt = np.min_scalar_type(n)
+    total = int(counts.sum())
+    dt = np.min_scalar_type(total)
+    extra = counts.astype(dt) - 1  # copies of a point beyond its first
+
+    def weighted_sum(rows):
+        out = cover[rows].sum(axis=0, dtype=dt)
+        for i in rows[extra[rows] > 0]:
+            out += extra[i] * cover[i]
+        return out
+
     gains = cover.sum(axis=0, dtype=dt)
-    uncovered = np.ones(n, dtype=bool)
-    left, allow = n, _max_uncovered(eps, n)
+    for i in np.flatnonzero(extra):
+        gains += extra[i] * cover[i]
+    uncovered = np.ones(len(cover), dtype=bool)
+    left, allow = total, _max_uncovered(eps, total)
     balls = 0
     while left > allow:
         c = int(np.argmax(gains))
         if gains[c] == 0:
             raise ValueError("uncovered points lie in no ball")
-        new = np.flatnonzero(cover[:, c] & uncovered)
+        new = np.flatnonzero(cover[c] & uncovered)
         uncovered[new] = False
-        left -= len(new)
+        left -= int(gains[c])
         for s in range(0, len(new), COVER_ROWS):
-            gains -= cover[new[s:s + COVER_ROWS]].sum(axis=0, dtype=dt)
+            gains -= weighted_sum(new[s:s + COVER_ROWS])
         balls += 1
     return max(balls, 1)
 
 
-def greedy_cover_bits(D: np.ndarray, eps: float) -> float:
-    return math.log2(greedy_cover_count(_cover_relation(D, 1, eps), eps))
+def first_occurrence(keys: np.ndarray):
+    """Classes of equal keys, numbered in order of first occurrence: the
+    index of each class's first key, the class of every key and the class
+    sizes."""
+    _, first, inv, counts = np.unique(keys, return_index=True,
+                                      return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inv], counts[order]
+
+
+def _cover_bits(D: np.ndarray, unit, counts: np.ndarray,
+                eps_grid) -> list[float]:
+    """log2 of the greedy ball count at each eps, for distinct points with
+    multiplicities counts at distances D / unit.  D is used up: when its
+    entries are bytes the last relation is written over it, so one eps
+    takes one n x n array (two per feature block cost a growth-d pass 61k
+    page faults, one costs it 7k)."""
+    outs = [None] * (len(eps_grid) - 1) + [
+        D.view(bool) if D.itemsize == 1 else None]
+    return [math.log2(greedy_cover_count(_cover_relation(D, unit, eps, out),
+                                         eps, counts))
+            for eps, out in zip(eps_grid, outs)]
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +247,7 @@ class FeatureMetric:
         ones; the metric is unchanged.  Order: np.unique(X.T, axis=0)'s."""
         if self.X.shape[1] == 0:
             return self
-        packed = np.packbits(np.ascontiguousarray(self.X.T), axis=1)
-        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        keys = _row_keys(np.ascontiguousarray(self.X.T))
         _, first, inv = np.unique(keys, return_index=True, return_inverse=True)
         cols = self.X[:, first]
         wsum = np.zeros(len(first), self.weights.dtype)
@@ -224,35 +256,46 @@ class FeatureMetric:
         return FeatureMetric(cols[:, keep], wsum[keep])
 
 
+def _row_keys(X: np.ndarray) -> np.ndarray:
+    """One key per row of a binary matrix, ordered as the rows: its packed
+    bytes."""
+    packed = np.ascontiguousarray(np.packbits(X, axis=1))
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+
+
 BLOCK_DIM = 16
 
 
-def feature_entropy_bits(fm: FeatureMetric, eps: float,
-                         block_dim: int | None = BLOCK_DIM) -> float:
-    """Epsilon-entropy estimate for a feature metric.
+def feature_entropy_bits(fm: FeatureMetric, eps_grid,
+                         block_dim: int | None = BLOCK_DIM) -> list[float]:
+    """Epsilon-entropy estimates for a feature metric, one per eps.
 
     After one exact column dedup the metric is estimated directly when its
     effective dimension fits the sample, and block-additively otherwise:
     the columns are dealt by decreasing weight into ceil(d / block_dim)
-    weight-balanced blocks, each block is estimated at the same eps over
-    its own total weight, and the estimates are summed (covering entropy is
+    weight-balanced blocks, each block is estimated at each eps over its
+    own total weight, and the estimates are summed (covering entropy is
     additive across independent blocks up to growth-class constants).
-    block_dim=None disables splitting.
+    A block's points are its distinct rows, and one pair matrix of them
+    serves every eps.  block_dim=None disables splitting.
     """
     fm = fm.dedup()
     d = fm.X.shape[1]
+    totals = [0.0] * len(eps_grid)
     if d == 0:
-        return 0.0
+        return totals
     n_blocks = 1 if block_dim is None else math.ceil(d / block_dim)
     order = np.argsort(-fm.weights, kind="stable")
-    total = 0.0
     for b in range(n_blocks):
         # in dedup's column order, which fixes the summation order
         idx = np.sort(order[b::n_blocks])
-        block = FeatureMetric(fm.X[:, idx], fm.weights[idx])
-        cover = _cover_relation(block.pair_matrix(), block.weights.sum(), eps)
-        total += math.log2(greedy_cover_count(cover, eps))
-    return total
+        X = fm.X[:, idx]
+        first, _, counts = first_occurrence(_row_keys(X))
+        block = FeatureMetric(X[first], fm.weights[idx])
+        bits = _cover_bits(block.pair_matrix(), block.weights.sum(), counts,
+                           eps_grid)
+        totals = [t + x for t, x in zip(totals, bits)]
+    return totals
 
 
 # ---------------------------------------------------------------------------
@@ -412,23 +455,21 @@ def scaling_curve(mode: str, sampler, scales, eps_grid, samples: int,
                          f", got M = {M}")
     sample = measures.draw_sharded(sampler, samples, seed, workers)
     w = sample["w"]
-    memos = [{} for _ in eps_grid]  # filtration: the levels share blocks
+    memo = {}  # filtration: the levels share blocks
     curve = EntropyCurve()
     for s in scales:
         if mode == "d":
-            fm = group_feature_metric(w, s)
-            bits = [feature_entropy_bits(fm, eps) for eps in eps_grid]
+            bits = feature_entropy_bits(group_feature_metric(w, s), eps_grid)
         elif mode == "z":
             direct = z_feature_metric(w, sample["alpha"], s)
             aligned = z_aligned_metric(w, sample["alpha"], s)
-            bits = [max(feature_entropy_bits(direct, eps, block_dim=None),
-                        feature_entropy_bits(aligned, eps))
-                    for eps in eps_grid]
+            bits = map(max,
+                       feature_entropy_bits(direct, eps_grid, block_dim=None),
+                       feature_entropy_bits(aligned, eps_grid))
         else:
             sym = reduce_symbols(w, s, k)
             flags = [bool(f) for f in sigma_extend(sampler.sigma, s)[k:]]
-            bits = [_split_entropy_bits(sym, flags, eps, memo)
-                    for eps, memo in zip(eps_grid, memos)]
+            bits = _split_entropy_bits(sym, flags, eps_grid, memo)
         for eps, b in zip(eps_grid, bits):
             curve.add(s, eps, b, samples, seed)
     return curve

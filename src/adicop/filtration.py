@@ -19,8 +19,9 @@ from collections import Counter
 import numpy as np
 
 from .coding import CodedPoint, diag
-from .entropy import (CutRhoK, EntropyCurve, Semimetric, _max_uncovered,
-                      curve_sampler, greedy_cover_bits, scaling_curve)
+from .entropy import (CutRhoK, EntropyCurve, Semimetric, _cover_bits,
+                      _max_uncovered, curve_sampler, first_occurrence,
+                      scaling_curve)
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +127,9 @@ def kantorovich_pairs(sym1: np.ndarray, sym2: np.ndarray) -> np.ndarray:
     return C[..., 0, 0] / L
 
 
-def pairwise_dist_matrix(sym: np.ndarray) -> np.ndarray:
-    """dist_m matrix of the rows of a (S, 2**m) array, from orbit codes.
+def pairwise_dist_matrix(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """dist_m table between the orbit classes of the rows of a (S, 2**m)
+    array, and the class of every row.
 
     Level 0 codes the symbols, and a node's code one level up is the id of
     the sorted pair of its children's codes, so two subtrees share a code
@@ -135,7 +137,8 @@ def pairwise_dist_matrix(sym: np.ndarray) -> np.ndarray:
     Ullman).  T[u, v] is the fewest mismatched leaves between codes u and
     v, from the child-swap step of `kantorovich_pairs` run once per pair of
     codes: min(T[a, a'] + T[b, b'], T[a, b'] + T[b, a']) between (a, b)
-    and (a', b').  The root table / 2**m is dist_m exactly.
+    and (a', b').  The root codes are the orbit classes, numbered by first
+    occurrence, and the root table / 2**m is dist_m between them exactly.
     """
     rows, inv = np.unique(sym, axis=0, return_inverse=True)
     symbols, codes = np.unique(rows, return_inverse=True)
@@ -155,7 +158,8 @@ def pairwise_dist_matrix(sym: np.ndarray) -> np.ndarray:
         cross += Tb.take(a, axis=1)
         np.minimum(T, cross, out=T)
     root = codes[inv, 0]
-    return (T / L).take(root, axis=0).take(root, axis=1)
+    first, labels, _ = first_occurrence(root)
+    return T[np.ix_(root[first], root[first])] / L, labels
 
 
 # ---------------------------------------------------------------------------
@@ -230,32 +234,37 @@ def lemma17_entropy_exact(m: int, r: int, q: int, eps: float) -> float:
 TERMINAL_DEPTH = 3
 
 
-def _split_entropy_bits(sym: np.ndarray, split_flags, eps: float, memo: dict,
-                        offset: int = 0) -> float:
-    """Block-additive covering estimate on symbol trees.
+def _split_entropy_bits(sym: np.ndarray, split_flags, eps_grid, memo: dict,
+                        offset: int = 0) -> tuple[float, ...]:
+    """Block-additive covering estimates on symbol trees, one per eps.
 
     split_flags[j] tells whether the level splitting on generator bit j is
     informative: at uninformative levels the two halves are identical and
     the iteration passes through them exactly; informative levels are
     treated as independent blocks and their estimates added (growth-class
-    surrogate).  Depth <= TERMINAL_DEPTH instances use the exact pairwise
-    Kantorovich values with greedy covering, kept in memo by (column
-    offset, depth): one memo serves one eps and arrays that extend one
-    another by columns, as the reduced arrays of one curve do.
+    surrogate).  Depth <= TERMINAL_DEPTH instances greedily cover their
+    orbit classes, weighted by row counts, by the exact Kantorovich values,
+    kept in memo by (column offset, depth): one memo serves one eps grid
+    and arrays that extend one another by columns, as the reduced arrays
+    of one curve do.
     """
     m = sym.shape[1].bit_length() - 1
     if m <= TERMINAL_DEPTH:
         if (offset, m) not in memo:
-            memo[offset, m] = greedy_cover_bits(pairwise_dist_matrix(sym), eps)
+            table, labels = pairwise_dist_matrix(sym)
+            memo[offset, m] = tuple(_cover_bits(table, 1, np.bincount(labels),
+                                                eps_grid))
         return memo[offset, m]
     h = 1 << (m - 1)
     first, second = sym[:, :h], sym[:, h:]
     if not split_flags[m - 1]:
         if not np.array_equal(first, second):
             raise ValueError("level flagged as degenerate but halves differ")
-        return _split_entropy_bits(first, split_flags, eps, memo, offset)
-    return (_split_entropy_bits(first, split_flags, eps, memo, offset)
-            + _split_entropy_bits(second, split_flags, eps, memo, offset + h))
+        return _split_entropy_bits(first, split_flags, eps_grid, memo, offset)
+    left = _split_entropy_bits(first, split_flags, eps_grid, memo, offset)
+    right = _split_entropy_bits(second, split_flags, eps_grid, memo,
+                                offset + h)
+    return tuple(a + b for a, b in zip(left, right))
 
 
 def lemma17_entropy_estimate(m: int, r: int, q: int, eps: float,
@@ -269,7 +278,7 @@ def lemma17_entropy_estimate(m: int, r: int, q: int, eps: float,
     base = np.random.default_rng(seed).integers(0, q, (n_samples, 1 << (m - r)))
     sym = np.repeat(base, 1 << r, axis=1)
     flags = [j >= r for j in range(m)]
-    return _split_entropy_bits(sym, flags, eps, {})
+    return _split_entropy_bits(sym, flags, (eps,), {})[0]
 
 
 # ---------------------------------------------------------------------------

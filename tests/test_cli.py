@@ -426,6 +426,20 @@ class TestExitCodes:
         assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["oracle", "scaling", "classify",
+                                     "entropy"])
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_refused_before_any_work(monkeypatch, capsys,
+                                                   command, workers):
+    # such values used to run serially; no thread pool is started here
+    _no_draws(monkeypatch)
+    monkeypatch.setattr(cli, "COMMANDS", {
+        name: lambda *a: pytest.fail("work started") for name in cli.COMMANDS})
+    assert run([command, "--workers", workers]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "workers" in err
+
+
 def _csv_rows(path):
     lines = [ln for ln in path.read_text().splitlines()
              if not ln.startswith("#")]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adicop import entropy, measures
+from adicop import entropy, filtration, measures
 from adicop.coding import CodedPoint
 from adicop.measures import MSigmaSampler, OmegaSigmaSampler
 
@@ -74,6 +74,20 @@ def within(D, eps):
     return D <= eps / 2 + 1e-12
 
 
+def units(n):
+    return np.ones(n, dtype=np.int64)
+
+
+def greedy(cover, eps):
+    """The greedy on points listed once each."""
+    return entropy.greedy_cover_count(cover, eps, units(len(cover)))
+
+
+def cover_bits(D, eps):
+    """log2 of the greedy count under the library's radius rule."""
+    return math.log2(greedy(entropy._cover_relation(D, 1, eps, None), eps))
+
+
 EXACT_COVER_LIMIT = 24
 
 
@@ -91,7 +105,7 @@ def exact_cover_count(D, eps):
     masks = [m for i, m in enumerate(masks)
              if not any(m | o == o for o in masks[:i])]
     need = n - entropy._max_uncovered(eps, n)
-    upper = entropy.greedy_cover_count(cover, eps)
+    upper = greedy(cover, eps)
     for k in range(1, upper + 1):
         for combo in itertools.combinations(masks, k):
             if bin(reduce(or_, combo)).count("1") >= need:
@@ -102,7 +116,7 @@ def exact_cover_count(D, eps):
 class TestCovering:
     def test_greedy_zero_diameter(self):
         D = np.zeros((10, 10))
-        assert entropy.greedy_cover_count(within(D, 0.25), 0.25) == 1
+        assert greedy(within(D, 0.25), 0.25) == 1
 
     def test_greedy_discrete(self):
         # 4 well-separated clusters, eps small: one ball per cluster minus
@@ -110,9 +124,9 @@ class TestCovering:
         D = np.ones((8, 8))
         for c in range(4):
             D[2 * c:2 * c + 2, 2 * c:2 * c + 2] = 0.0
-        assert entropy.greedy_cover_count(within(D, 0.1), 0.1) == 4
+        assert greedy(within(D, 0.1), 0.1) == 4
         # eps = 0.3 allows leaving 2 of 8 points uncovered
-        assert entropy.greedy_cover_count(within(D, 0.3), 0.3) == 3
+        assert greedy(within(D, 0.3), 0.3) == 3
 
     def test_greedy_matches_exact_small(self):
         rng = RNG(3)
@@ -120,7 +134,7 @@ class TestCovering:
             pts = rng.random((12, 2))
             D = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
             eps = rng.uniform(0.2, 0.8)
-            g = entropy.greedy_cover_count(within(D, eps), eps)
+            g = greedy(within(D, eps), eps)
             e = exact_cover_count(D, eps)
             assert e <= g <= 2 * e + 1
 
@@ -134,7 +148,7 @@ class TestCovering:
         # uncovered, and so may the exact cover
         D = np.array([[0.0, 1.0], [1.0, 0.0]])
         eps = 0.5 + 1e-10
-        assert entropy.greedy_cover_count(within(D, eps), eps) == 2
+        assert greedy(within(D, eps), eps) == 2
         assert exact_cover_count(D, eps) == 2
 
     def test_radius_rule_absorbs_float_rounding(self):
@@ -142,19 +156,19 @@ class TestCovering:
         # such distances inside a ball of radius 0.3
         D = np.full((10, 10), 0.1 + 0.2)
         np.fill_diagonal(D, 0.0)
-        assert entropy.greedy_cover_bits(D, 0.6) == 0.0
+        assert cover_bits(D, 0.6) == 0.0
 
     @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
     def test_greedy_refuses_non_bool(self, dtype):
         with pytest.raises(TypeError):
-            entropy.greedy_cover_count(np.zeros((5, 5), dtype), 0.25)
+            entropy.greedy_cover_count(np.zeros((5, 5), dtype), 0.25, units(5))
 
     def test_monotone_in_eps(self):
         # Lemma-10-style monotonicity: entropy non-increasing in eps
         rng = RNG(4)
         pts = rng.random((60, 3))
         D = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
-        bits = [entropy.greedy_cover_bits(D, e) for e in (0.1, 0.25, 0.5, 1.0)]
+        bits = [cover_bits(D, e) for e in (0.1, 0.25, 0.5, 1.0)]
         assert all(a >= b for a, b in zip(bits, bits[1:]))
 
 
@@ -170,19 +184,39 @@ def reference_greedy(D, eps):
     return max(balls, 1)
 
 
+def first_occurrence_labels(D):
+    """Each point's class of equal rows of D (copies of one point), the
+    classes numbered by first occurrence: the rank of each row's first
+    copy among all first copies."""
+    inv = np.unique(D, axis=0, return_inverse=True)[1].ravel()
+    first = np.argmax(inv[:, None] == inv, axis=1)
+    return np.searchsorted(np.unique(first), first)
+
+
+def distinct(D, labels):
+    """The matrix between classes and the class sizes, from their first
+    points."""
+    first = np.unique(labels, return_index=True)[1]
+    return D[np.ix_(first, first)], np.bincount(labels)
+
+
 @st.composite
 def cover_instances(draw, max_n):
     """Normalized Hamming matrices on few bits (many tied gains), optionally
-    perturbed into asymmetric matrices with a zero diagonal."""
-    n = draw(st.integers(1, max_n))
+    perturbed by a symmetric matrix with a zero diagonal; points are listed
+    1-3 times each, in a random order, and at most max_n are kept."""
+    k = draw(st.integers(1, max_n))
     bits = draw(st.integers(1, 10))
     rng = RNG(draw(st.integers(0, 2 ** 32 - 1)))
-    X = rng.integers(0, 2, (n, bits))
+    X = rng.integers(0, 2, (k, bits))
     D = (X[:, None, :] != X[None, :, :]).mean(axis=2)
     if draw(st.booleans()):
-        D = D + rng.uniform(-0.1, 0.1, D.shape)
+        P = rng.uniform(-0.1, 0.1, D.shape)
+        D = D + (P + P.T) / 2
         np.fill_diagonal(D, 0.0)
-    return D, draw(st.sampled_from([0.1, 0.25, 0.5, 1.0]))
+    rows = rng.permutation(np.repeat(np.arange(k), rng.integers(1, 4, k)))
+    rows = rows[:max_n]
+    return D[np.ix_(rows, rows)], draw(st.sampled_from([0.1, 0.25, 0.5, 1.0]))
 
 
 class TestGreedyIncremental:
@@ -190,25 +224,33 @@ class TestGreedyIncremental:
     @given(cover_instances(200))
     def test_matches_plain_greedy(self, inst):
         D, eps = inst
-        assert entropy.greedy_cover_count(within(D, eps), eps) == \
+        assert greedy(within(D, eps), eps) == reference_greedy(D, eps)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cover_instances(200))
+    def test_weighted_distinct_points_match_plain_greedy(self, inst):
+        # copies of a point lie at distance 0 and nowhere else: one
+        # weighted column per point gives the plain greedy's count
+        D, eps = inst
+        Dd, counts = distinct(D, first_occurrence_labels(D))
+        assert entropy.greedy_cover_count(within(Dd, eps), eps, counts) == \
             reference_greedy(D, eps)
 
     @settings(max_examples=100, deadline=None)
     @given(cover_instances(12))
     def test_exact_at_most_greedy(self, inst):
         D, eps = inst
-        assert exact_cover_count(D, eps) <= \
-            entropy.greedy_cover_count(within(D, eps), eps)
+        assert exact_cover_count(D, eps) <= greedy(within(D, eps), eps)
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_eps(self, eps):
         with pytest.raises(ValueError):
-            entropy.greedy_cover_count(np.ones((5, 5), bool), eps)
+            entropy.greedy_cover_count(np.ones((5, 5), bool), eps, units(5))
 
     def test_rejects_points_in_no_ball(self):
         # an empty diagonal leaves every point outside its own ball
         with pytest.raises(ValueError):
-            entropy.greedy_cover_count(np.zeros((4, 4), bool), 0.1)
+            greedy(np.zeros((4, 4), bool), 0.1)
 
 
 def reference_pair_matrix(X, w):
@@ -274,16 +316,23 @@ class TestFeatureMetric:
     @given(feature_instances(), st.sampled_from([0.5, 0.25, 0.1]),
            st.sampled_from([16, 4, None]))
     def test_integer_layer_matches_float_layer(self, fm, eps, block_dim):
-        # the cover relation of every block is bit-identical to the float
+        # the cover relation of every block, between its distinct rows and
+        # expanded by each row's class, is bit-identical to the float
         # layer's, and so is the estimate
         with mock.patch.object(entropy, "greedy_cover_count",
-                               wraps=entropy.greedy_cover_count) as greedy:
-            bits = entropy.feature_entropy_bits(fm, eps, block_dim)
+                               wraps=entropy.greedy_cover_count) as spy:
+            bits = entropy.feature_entropy_bits(fm, (eps,), block_dim)
         blocks = reference_block_matrices(fm, block_dim)
-        assert len(greedy.call_args_list) == len(blocks)
-        for call, D in zip(greedy.call_args_list, blocks):
-            assert np.array_equal(call.args[0], within(D, eps))
-        assert bits == sum(math.log2(reference_greedy(D, eps)) for D in blocks)
+        assert len(spy.call_args_list) == len(blocks)
+        for call, D in zip(spy.call_args_list, blocks):
+            cover, _, counts = call.args
+            labels = first_occurrence_labels(D)
+            assert np.array_equal(counts, np.bincount(labels))
+            assert cover.shape == (len(counts),) * 2
+            assert np.array_equal(cover[np.ix_(labels, labels)],
+                                  within(D, eps))
+        assert bits == [sum(math.log2(reference_greedy(D, eps))
+                            for D in blocks)]
 
     @settings(max_examples=100, deadline=None)
     @given(feature_instances())
@@ -308,8 +357,96 @@ class TestFeatureMetric:
         rng = RNG(7)
         X = rng.integers(0, 2, (50, 6)).astype(np.uint8)
         fm = entropy.FeatureMetric(X, np.ones(6, dtype=np.int64))
-        assert entropy.feature_entropy_bits(fm, 0.25) == \
-            entropy.feature_entropy_bits(fm, 0.25, block_dim=None)
+        assert entropy.feature_entropy_bits(fm, (0.25,)) == \
+            entropy.feature_entropy_bits(fm, (0.25,), block_dim=None)
+
+
+def automorphism_image(rng, row):
+    """A symbol tree under random swaps of the children of its nodes."""
+    if len(row) == 1:
+        return row
+    h = len(row) // 2
+    a, b = automorphism_image(rng, row[:h]), automorphism_image(rng, row[h:])
+    return np.concatenate([b, a] if rng.integers(2) else [a, b])
+
+
+@st.composite
+def orbit_instances(draw):
+    """Symbol trees of depth 0-3 drawn from a small pool, each kept as
+    drawn or replaced by an automorphism image (same orbit, other row)."""
+    m, q = draw(st.integers(0, 3)), draw(st.integers(2, 4))
+    rng = RNG(draw(st.integers(0, 2 ** 32 - 1)))
+    pool = rng.integers(0, q, (draw(st.integers(1, 10)), 1 << m))
+    rows = pool[rng.integers(0, len(pool), draw(st.integers(1, 80)))]
+    return np.array([automorphism_image(rng, r) if rng.integers(2) else r
+                     for r in rows])
+
+
+class TestWeightedCover:
+    # the greedy on distinct points with their counts, against plain
+    # greedy on the sample with every copy listed
+    @settings(max_examples=100, deadline=None)
+    @given(feature_instances(), st.sampled_from([0.5, 0.25, 0.1]),
+           st.sampled_from([4, 16, None]))
+    def test_feature_blocks(self, fm, eps, block_dim):
+        with mock.patch.object(entropy, "greedy_cover_count",
+                               wraps=entropy.greedy_cover_count) as spy:
+            entropy.feature_entropy_bits(fm, (eps,), block_dim)
+        blocks = reference_block_matrices(fm, block_dim)
+        assert len(spy.call_args_list) == len(blocks)
+        for call, D in zip(spy.call_args_list, blocks):
+            assert entropy.greedy_cover_count(*call.args) == \
+                reference_greedy(D, eps)
+
+    @settings(max_examples=100, deadline=None)
+    @given(orbit_instances(), st.sampled_from([0.5, 0.25, 0.1]))
+    def test_filtration_orbit_tables(self, sym, eps):
+        table, labels = filtration.pairwise_dist_matrix(sym)
+        cover = entropy._cover_relation(table, 1, eps, None)
+        i, j = np.indices((len(sym),) * 2)
+        D = filtration.kantorovich_pairs(sym[i], sym[j])
+        assert entropy.greedy_cover_count(cover, eps, np.bincount(labels)) \
+            == reference_greedy(D, eps)
+
+
+class TestEpsGrid:
+    # blocks, their distinct rows and their tables do not depend on eps:
+    # one of each serves the grid, and every estimate equals the one
+    # computed for its eps alone
+    def test_one_pair_matrix_per_block(self, monkeypatch):
+        sampler, levels = MSigmaSampler((1,) * 6, 6), [3, 4, 5, 6]
+        grid = entropy.DEFAULT_EPS_GRID
+        alone = [entropy.scaling_curve_d(sampler, levels, (eps,), 300)
+                 for eps in grid]
+        pair_matrix = entropy.FeatureMetric.pair_matrix
+        calls = []
+
+        def counted(fm):
+            calls.append(fm.X.shape)
+            return pair_matrix(fm)
+
+        monkeypatch.setattr(entropy.FeatureMetric, "pair_matrix", counted)
+        curve = entropy.scaling_curve_d(sampler, levels, grid, 300)
+        # 8, 16, 32 and 64 columns make 1, 1, 2 and 4 blocks
+        assert len(calls) == 8
+        for eps, one in zip(grid, alone):
+            assert curve.bits(eps) == one.bits(eps)
+
+    def test_one_orbit_table_per_terminal_block(self):
+        sigma, levels = (1,) * 7, [4, 5, 6]
+        grid = entropy.DEFAULT_EPS_GRID
+        sampler = entropy.curve_sampler("filtration", sigma, levels, 64, 1)
+        alone = [entropy.scaling_curve("filtration", sampler, levels, (eps,),
+                                       64, 0, 1) for eps in grid]
+        with mock.patch.object(filtration, "pairwise_dist_matrix",
+                               wraps=filtration.pairwise_dist_matrix) as spy:
+            curve = entropy.scaling_curve("filtration", sampler, levels, grid,
+                                          64, 0, 1)
+        # level 6 over k = 1 splits into 2**2 terminal blocks of depth 3,
+        # which the lower levels' blocks are column prefixes of
+        assert spy.call_count == 4
+        for eps, one in zip(grid, alone):
+            assert curve.bits(eps) == one.bits(eps)
 
 
 class TestAssertion1:
@@ -426,7 +563,7 @@ class TestClosedForm:
         for n in range(4, 9):
             fm = entropy.z_aligned_metric(sample["w"], sample["alpha"], 1 << n)
             closed = (1 << n) * (1 - binary_entropy(self.EPS / 2))
-            bits = entropy.feature_entropy_bits(fm, self.EPS)
+            bits, = entropy.feature_entropy_bits(fm, (self.EPS,))
             assert 1.0 <= bits / closed <= self.VOLUME_RATIO
 
 
@@ -442,7 +579,7 @@ class TestZSampleLimited:
         for n in (250, 500, 1000):
             fm = entropy.z_feature_metric(sample["w"][:n],
                                           sample["alpha"][:n], t)
-            bits = entropy.feature_entropy_bits(fm, eps, block_dim=None)
+            bits, = entropy.feature_entropy_bits(fm, (eps,), block_dim=None)
             ceiling = math.log2(n - math.floor(eps * n))
             assert ceiling - 0.25 <= bits <= ceiling
             readings.append(bits)
@@ -473,10 +610,11 @@ class TestKernelMemory:
         n = self.N
         if relation == "block":
             counts = self.block().pair_matrix()
-            cover = entropy._cover_relation(counts, 16, 0.25)
+            cover = entropy._cover_relation(counts, 16, 0.25, None)
         else:
             cover = np.ones((n, n), bool)
-        assert peak_bytes(entropy.greedy_cover_count, cover, 0.25) < n * n // 8
+        assert peak_bytes(entropy.greedy_cover_count, cover, 0.25,
+                          units(n)) < n * n // 8
 
     def test_pair_matrix_makes_no_n_by_n_temporary(self):
         # the result (n**2 bytes at total weight 16) plus a quarter of it

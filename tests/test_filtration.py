@@ -113,6 +113,13 @@ def symbol_rows(draw):
     return np.vstack([drawn, pool[:1], images]), len(images)
 
 
+def expanded_dist(sym):
+    """dist_m between every pair of rows, from the table between orbit
+    classes and the class of each row."""
+    table, labels = filtration.pairwise_dist_matrix(sym)
+    return table[np.ix_(labels, labels)]
+
+
 def all_pairs_kernel(sym):
     """dist_m on every ordered pair of rows, by the child-swap kernel."""
     i, j = np.indices((len(sym),) * 2)
@@ -143,7 +150,7 @@ class TestDistM:
     def test_vectorized_matches_scalar(self):
         rng = RNG(5)
         sym = rng.integers(0, 3, (10, 8))
-        D = filtration.pairwise_dist_matrix(sym)
+        D = expanded_dist(sym)
         assert np.all(np.diag(D) == 0) and np.array_equal(D, D.T)
         for i in range(10):
             for j in range(i + 1, 10):
@@ -158,18 +165,23 @@ class TestDistM:
         brute = np.zeros((40, 40))
         brute[iu, ju] = brute[ju, iu] = filtration.kantorovich_pairs(
             sym[iu], sym[ju])
-        assert np.array_equal(filtration.pairwise_dist_matrix(sym), brute)
+        assert np.array_equal(expanded_dist(sym), brute)
 
     @settings(max_examples=150, deadline=None)
     @given(symbol_rows())
     def test_orbit_codes_match_kernel_exactly(self, inst):
         sym, n_images = inst
-        D = filtration.pairwise_dist_matrix(sym)
+        table, labels = filtration.pairwise_dist_matrix(sym)
+        D = table[np.ix_(labels, labels)]
         want = all_pairs_kernel(sym)
         assert D.dtype == want.dtype and np.array_equal(D, want)
         # the first pool row and its automorphism images share one orbit
         orbit = D[-n_images - 1:, -n_images - 1:]
         assert np.all(orbit == 0)
+        # one class per orbit, numbered by first occurrence
+        firsts = np.unique(labels, return_index=True)[1]
+        assert np.array_equal(labels[np.sort(firsts)], np.arange(len(table)))
+        assert np.all((table == 0) == np.eye(len(table), dtype=bool))
 
     def test_orbit_codes_match_kernel_on_bytes(self):
         # the alphabet of k = 3 reductions: 256 symbols, few repeats
@@ -178,8 +190,7 @@ class TestDistM:
         sym = np.vstack([base, base[rng.integers(0, 40, 20)],
                          [random_automorphism_image(rng, base[0])
                           for _ in range(4)]])
-        assert np.array_equal(filtration.pairwise_dist_matrix(sym),
-                              all_pairs_kernel(sym))
+        assert np.array_equal(expanded_dist(sym), all_pairs_kernel(sym))
 
     def test_matrix_memory_bound(self):
         # 300 binary trees of depth 5: the tables between orbit codes take
@@ -387,6 +398,17 @@ class TestLemma17:
             filtration.lemma17_entropy_estimate(m, r, q, 0.1,
                                                 n_samples=n_samples)
 
+    def test_estimate_memory_is_bounded_by_the_orbit_classes(self):
+        # 4000 draws of the 2**8 configurations fall into at most 21 orbit
+        # classes; a 4000 x 4000 float distance matrix alone takes 122 MiB
+        tracemalloc.start()
+        try:
+            filtration.lemma17_entropy_estimate(3, 0, 2, 0.1, n_samples=4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
     def test_estimator_slope_with_r(self):
         bits = [filtration.lemma17_entropy_estimate(1 + d, 1, 2, 0.1,
                                                     n_samples=256, seed=3)
@@ -515,8 +537,8 @@ class TestScalingCurve:
         w = measures.draw_sharded(sampler, 64, 0, 1)["w"]
         for s, eps, bits, *_ in curve.rows:
             flags = [bool(f) for f in sigma_extend(sigma, s)[1:]]
-            assert bits == filtration._split_entropy_bits(
-                filtration.reduce_symbols(w, s, 1), flags, eps, {})
+            assert (bits,) == filtration._split_entropy_bits(
+                filtration.reduce_symbols(w, s, 1), flags, (eps,), {})
 
     def test_level_must_exceed_cut(self):
         with pytest.raises(ValueError):
