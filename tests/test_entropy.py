@@ -323,16 +323,19 @@ class TestFeatureMetric:
                                wraps=entropy.greedy_cover_count) as spy:
             bits = entropy.feature_entropy_bits(fm, (eps,), block_dim)
         blocks = reference_block_matrices(fm, block_dim)
+        plain = [reference_greedy(D, eps) for D in blocks]
         assert len(spy.call_args_list) == len(blocks)
-        for call, D in zip(spy.call_args_list, blocks):
+        for call, D, want in zip(spy.call_args_list, blocks, plain):
             cover, _, counts = call.args
             labels = first_occurrence_labels(D)
             assert np.array_equal(counts, np.bincount(labels))
             assert cover.shape == (len(counts),) * 2
             assert np.array_equal(cover[np.ix_(labels, labels)],
                                   within(D, eps))
-        assert bits == [sum(math.log2(reference_greedy(D, eps))
-                            for D in blocks)]
+            # the weighted greedy on the block's distinct rows counts as
+            # plain greedy on all of them
+            assert entropy.greedy_cover_count(*call.args) == want
+        assert bits == [sum(math.log2(want) for want in plain)]
 
     @settings(max_examples=100, deadline=None)
     @given(feature_instances())
@@ -383,21 +386,9 @@ def orbit_instances(draw):
 
 
 class TestWeightedCover:
-    # the greedy on distinct points with their counts, against plain
-    # greedy on the sample with every copy listed
-    @settings(max_examples=100, deadline=None)
-    @given(feature_instances(), st.sampled_from([0.5, 0.25, 0.1]),
-           st.sampled_from([4, 16, None]))
-    def test_feature_blocks(self, fm, eps, block_dim):
-        with mock.patch.object(entropy, "greedy_cover_count",
-                               wraps=entropy.greedy_cover_count) as spy:
-            entropy.feature_entropy_bits(fm, (eps,), block_dim)
-        blocks = reference_block_matrices(fm, block_dim)
-        assert len(spy.call_args_list) == len(blocks)
-        for call, D in zip(spy.call_args_list, blocks):
-            assert entropy.greedy_cover_count(*call.args) == \
-                reference_greedy(D, eps)
-
+    # the greedy on orbit classes with their row counts, against plain
+    # greedy on the sample with every row listed (feature blocks: see
+    # test_integer_layer_matches_float_layer)
     @settings(max_examples=100, deadline=None)
     @given(orbit_instances(), st.sampled_from([0.5, 0.25, 0.1]))
     def test_filtration_orbit_tables(self, sym, eps):
