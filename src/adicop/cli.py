@@ -327,8 +327,8 @@ MAX_M = 62  # digit values alpha < 2**M are int64 draws
 def cmd_classify(args, cfg) -> int:
     if args.n_accept < 1:
         raise UsageError(f"n-accept must be at least 1, got {args.n_accept}")
-    if args.M > MAX_M:
-        raise UsageError(f"M must be at most {MAX_M}, got {args.M}")
+    if not 1 <= args.M <= MAX_M:
+        raise UsageError(f"M must lie in [1, {MAX_M}], got {args.M}")
     # the aperiodic sampler resolves the R digits of its Toeplitz base
     # whatever M is; building it to ask would draw
     resolution = (measures.ToeplitzBase().R

@@ -2,11 +2,12 @@
 
 A path prefix corresponds to a coded point (w, alpha): alpha is the edge
 ordinal sequence and w(g) is the top label read at g XOR a, where a is the
-mask packing alpha.  The group acts diagonally (translate w, XOR the
-digits); the adic successor acts as the odometer on alpha and translates
-w by the carry.  The fibrewise change of variables lambda_alpha identifies
-a segment of integers with a finite subgroup, turning the adic map into
-(left shift) x (odometer) on integer-indexed windows.
+mask packing alpha.  Both sides store a, not the digits.  The group acts
+diagonally (translate w, a XOR g); the adic successor acts as the odometer
+a + 1 and translates w by the carry.  The fibrewise change of variables
+lambda_alpha identifies a segment of integers with a finite subgroup,
+turning the adic map into (left shift) x (odometer) on integer-indexed
+windows.
 """
 
 from __future__ import annotations
@@ -15,32 +16,44 @@ import numpy as np
 
 from . import graph
 from .dyadic import (N_MAX, ResolutionError, alpha_digits, alpha_value,
-                     check_bits, check_mask, in_group, tau)
+                     check_bits, check_mask, in_group)
 
 
 class CodedPoint:
-    """Truncation of a point of I^D x I^N: w on D_N plus M digits of alpha."""
+    """Truncation of a point of I^D x I^N: w on D_N plus M digits of alpha,
+    stored as their packed value a < 2**M; alpha is read back from a."""
 
-    __slots__ = ("w", "alpha", "N", "M")
+    __slots__ = ("w", "a", "N", "M")
 
     def __init__(self, w, alpha):
-        w = np.asarray(w, dtype=np.uint8)
+        alpha = check_bits(alpha)
+        self._set(w, alpha_value(alpha), len(alpha))
+
+    @classmethod
+    def from_value(cls, w, a: int, M: int) -> "CodedPoint":
+        """The point (w, alpha) whose M digits pack to a, for 0 <= a < 2**M."""
+        if not in_group(a, M):
+            raise ResolutionError(f"digit value {a} outside D_{M}")
+        p = cls.__new__(cls)
+        p._set(w, a, M)
+        return p
+
+    def _set(self, w, a: int, M: int):
+        self.w = w = np.asarray(w, dtype=np.uint8)
         if w.ndim != 1 or w.size & (w.size - 1):
             raise ValueError("w must be a bit vector of length 2**N")
-        self.w = w
-        self.alpha = check_bits(alpha)
-        self.N = w.size.bit_length() - 1
-        self.M = len(self.alpha)
+        self.a, self.N, self.M = a, w.size.bit_length() - 1, M
 
     @property
-    def resolution(self) -> int:
-        return min(self.N, self.M)
+    def alpha(self) -> tuple[int, ...]:
+        return alpha_digits(self.a, self.M)
 
     def __eq__(self, other):
-        return self.alpha == other.alpha and self.w.tobytes() == other.w.tobytes()
+        return (self.a == other.a and self.M == other.M
+                and self.w.tobytes() == other.w.tobytes())
 
     def __hash__(self):
-        return hash((self.alpha, self.w.tobytes()))
+        return hash((self.a, self.M, self.w.tobytes()))
 
     def __repr__(self):
         return f"CodedPoint(w={''.join(map(str, self.w))}, alpha={self.alpha})"
@@ -78,12 +91,19 @@ class ZWindow:
         return f"ZWindow({self.lo}, {self.hi}, {''.join(map(str, self.bits))})"
 
 
+_XOR_INDEX = [[np.arange(1 << n) ^ g for g in range(1 << n)]
+              for n in range(graph.EXHAUSTIVE_DEPTH + 1)]
+
+
+def _xor_index(n: int, g: int) -> np.ndarray:
+    """np.arange(2**n) ^ g for g in D_n; shared up to the exhaustive depth."""
+    return _XOR_INDEX[n][g] if n < len(_XOR_INDEX) else np.arange(1 << n) ^ g
+
+
 def psi(x: graph.PathPrefix) -> CodedPoint:
     """(F, A): A is the edge sequence, F reads the top label through the alpha shift."""
-    n = x.depth
-    a = alpha_value(x.alpha)
-    idx = np.arange(1 << n) ^ a
-    return CodedPoint(x.top.label[idx], x.alpha)
+    return CodedPoint.from_value(x.top.label[_xor_index(x.depth, x.a)], x.a,
+                                 x.depth)
 
 
 def vertex_labels(w: np.ndarray, a, n: int) -> np.ndarray:
@@ -98,16 +118,16 @@ def vertex_labels(w: np.ndarray, a, n: int) -> np.ndarray:
 def psi_inv(p: CodedPoint) -> graph.PathPrefix:
     if p.N != p.M:
         raise ResolutionError("psi_inv needs matching resolutions N = M")
-    top = vertex_labels(p.w, alpha_value(p.alpha), p.N)
-    return graph.PathPrefix(graph.Vertex(p.N, top), p.alpha)
+    top = vertex_labels(p.w, p.a, p.N)
+    return graph.PathPrefix.from_value(graph.Vertex(p.N, top), p.a)
 
 
 def diag(g: int, p: CodedPoint) -> CodedPoint:
-    """Diagonal action: (w(.), alpha) -> (w(. + g), alpha + tau(g))."""
-    if not in_group(g, p.resolution):
-        raise ResolutionError(f"element {g} outside D_{p.resolution}")
-    idx = np.arange(1 << p.N) ^ g
-    return CodedPoint(p.w[idx], [a ^ t for a, t in zip(p.alpha, tau(g, p.M))])
+    """Diagonal action: (w(.), alpha) -> (w(. + g), alpha + tau(g)); a -> a ^ g."""
+    n = min(p.N, p.M)
+    if not in_group(g, n):
+        raise ResolutionError(f"element {g} outside D_{n}")
+    return CodedPoint.from_value(p.w[_xor_index(p.N, g)], p.a ^ g, p.M)
 
 
 def odometer(alpha) -> tuple[int, ...]:
@@ -129,12 +149,12 @@ def odometer_inv(alpha) -> tuple[int, ...]:
 
 def adic_on_coded(p: CodedPoint) -> CodedPoint:
     """Coded form of the adic successor: translate w by the carry, advance alpha."""
-    nxt = odometer(p.alpha)
-    g = alpha_value(nxt) ^ alpha_value(p.alpha)
+    if p.a == (1 << p.M) - 1:
+        raise ResolutionError("odometer undefined at this resolution (all-ones digits)")
+    g = (p.a + 1) ^ p.a
     if not in_group(g, p.N):
         raise ResolutionError("carry exceeds the w resolution")
-    idx = np.arange(1 << p.N) ^ g
-    return CodedPoint(p.w[idx], nxt)
+    return CodedPoint.from_value(p.w[_xor_index(p.N, g)], p.a + 1, p.M)
 
 
 def lambda_alpha(alpha, k: int, a: int | None = None) -> int:
@@ -169,7 +189,7 @@ def lambda_window(p: CodedPoint, L: int) -> ZWindow:
     and the bits are read in one gather; otherwise the first escaping k
     raises the error position-by-position reading would.
     """
-    a = alpha_value(p.alpha)
+    a = p.a
     b = min(p.N, N_MAX)
     a_b = a % (1 << b)
     last = min((1 << p.M) - a, (1 << b) - a_b) - 1

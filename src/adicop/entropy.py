@@ -59,8 +59,10 @@ class CutRhoK(Semimetric):
 
     def dist(self, x: CodedPoint, y: CodedPoint) -> float:
         m = 1 << self.k
+        # alpha[:k] agree: as many digits, equal below bit k of the values
         same = (np.array_equal(x.w[:m], y.w[:m])
-                and x.alpha[:self.k] == y.alpha[:self.k])
+                and min(x.M, self.k) == min(y.M, self.k)
+                and (x.a ^ y.a) % m == 0)
         return 0.0 if same else 1.0
 
 

@@ -4,8 +4,9 @@ A floor-(n+1) vertex is an ordered pair of floor-n vertices; its label is
 the concatenation of the two child labels, indexed by group masks: the
 lower half (masks in D_n) is the label of the first child, the upper half
 the label of the second.  A path prefix is stored canonically as the top
-vertex label plus the edge-index sequence alpha; all lower vertices are
-recomputed by slicing halves.
+vertex label plus the packed edge value a (edge ordinal alpha_i sets bit
+i-1); all lower vertices are recomputed by slicing halves, and the group
+and the adic successor act on a as `a ^ g` and `a + 1`.
 """
 
 from __future__ import annotations
@@ -59,20 +60,32 @@ def pair(v0: Vertex, v1: Vertex) -> Vertex:
 class PathPrefix:
     """A path of the graph known up to a finite floor.
 
-    Canonical data: the top vertex label and the edge ordinals
-    alpha = (alpha_1, ..., alpha_N), alpha_{n+1} being the ordinal of the
-    edge entering floor n+1.  vertex(j) recomputes floor-j vertices.
+    Canonical data: the top label and the packed edge value
+    a = alpha_1 + 2 alpha_2 + ..., alpha_{n+1} being the ordinal of the
+    edge entering floor n+1.  The digits alpha are read back from a;
+    vertex(j) recomputes floor-j vertices.
     """
 
-    __slots__ = ("depth", "top", "alpha")
+    __slots__ = ("depth", "top", "a")
 
     def __init__(self, top: Vertex, alpha):
         alpha = check_bits(alpha)
         if len(alpha) != top.floor:
             raise DepthError("alpha length must equal the top floor")
-        self.depth = top.floor
-        self.top = top
-        self.alpha = alpha
+        self.depth, self.top, self.a = top.floor, top, alpha_value(alpha)
+
+    @classmethod
+    def from_value(cls, top: Vertex, a: int) -> "PathPrefix":
+        """The path into top whose edges pack to a, for 0 <= a < 2**floor."""
+        if not in_group(a, top.floor):
+            raise ResolutionError(f"edge value {a} outside D_{top.floor}")
+        x = cls.__new__(cls)
+        x.depth, x.top, x.a = top.floor, top, a
+        return x
+
+    @property
+    def alpha(self) -> tuple[int, ...]:
+        return alpha_digits(self.a, self.depth)
 
     def vertex(self, j: int) -> Vertex:
         if not 0 <= j <= self.depth:
@@ -80,7 +93,7 @@ class PathPrefix:
         v = self.top
         for n in range(self.depth - 1, j - 1, -1):
             half = 1 << n
-            base = self.alpha[n] * half
+            base = (self.a >> n & 1) * half
             v = Vertex(n, v.label[base:base + half])
         return v
 
@@ -88,11 +101,11 @@ class PathPrefix:
         return [self.vertex(j) for j in range(self.depth + 1)]
 
     def __eq__(self, other):
-        return (self.depth == other.depth and self.alpha == other.alpha
-                and self.top == other.top)
+        return (self.a == other.a and self.depth == other.depth
+                and self.top.label.tobytes() == other.top.label.tobytes())
 
     def __hash__(self):
-        return hash((self.alpha, self.top))
+        return hash((self.a, self.depth, self.top.label.tobytes()))
 
     def __repr__(self):
         return f"PathPrefix(top={self.top!r}, alpha={self.alpha})"
@@ -119,7 +132,7 @@ def iter_paths(n: int):
     """All path prefixes of depth n (top label and alpha both free)."""
     for v in iter_vertices(n):
         for a in range(1 << n):
-            yield PathPrefix(v, alpha_digits(a, n))
+            yield PathPrefix.from_value(v, a)
 
 
 def paths_into(v: Vertex, exhaustive: bool = False) -> int:
@@ -129,7 +142,7 @@ def paths_into(v: Vertex, exhaustive: bool = False) -> int:
             raise DepthError(f"exhaustive mode limited to depth {EXHAUSTIVE_DEPTH}")
         count = 0
         for a in range(1 << v.floor):
-            p = PathPrefix(v, alpha_digits(a, v.floor))
+            p = PathPrefix.from_value(v, a)
             p.vertices()
             count += 1
         return count
@@ -143,19 +156,18 @@ def adic_successor(x: PathPrefix) -> PathPrefix:
     path is unchanged from that floor upward.  Undefined on the all-ones
     edge sequence at this resolution.
     """
-    v = alpha_value(x.alpha)
-    if v == (1 << x.depth) - 1:
+    if x.a == (1 << x.depth) - 1:
         raise ResolutionError("successor undefined at this resolution (all-ones edges)")
-    return PathPrefix(x.top, alpha_digits(v + 1, x.depth))
+    return PathPrefix.from_value(x.top, x.a + 1)
 
 
 def reverse_lex_key(x: PathPrefix) -> int:
-    return alpha_value(x.alpha)
+    return x.a
 
 
 def kappa(g: int, x: PathPrefix) -> PathPrefix:
     """Action of the group element g: flip the edge ordinals named by its mask."""
     if not in_group(g, x.depth):
         raise ResolutionError(f"element {g} outside D_{x.depth}")
-    return PathPrefix(x.top, alpha_digits(alpha_value(x.alpha) ^ g, x.depth))
+    return PathPrefix.from_value(x.top, x.a ^ g)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adicop import cli, coding, entropy, filtration, graph
+from adicop import cli, coding, dyadic, entropy, filtration, graph
 from adicop.measures import MSigmaSampler, OmegaSigmaSampler
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -95,6 +95,31 @@ class TestOraclePower:
         assert report["checks"]["group-action-diagram"] == "fail"
         assert set(report["failures"]) == {"group-action-diagram"}
         assert "Traceback" not in capsys.readouterr().err
+
+
+class TestOracleCost:
+    def test_group_diagram_rechecks_no_digits(self, monkeypatch):
+        # kappa, psi and diag act on packed digit values: the 16384
+        # (path, g) pairs at depth 3 are all checked, with no digit check
+        # and no tau(g) digits on the way
+        calls = dict.fromkeys(("check_bits", "tau", "kappa", "diag"), 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        for module in (graph, coding):
+            monkeypatch.setattr(module, "check_bits",
+                                counted("check_bits", dyadic.check_bits))
+        tau = counted("tau", dyadic.tau)
+        for module in (dyadic, coding):
+            monkeypatch.setattr(module, "tau", tau, raising=False)
+        monkeypatch.setattr(graph, "kappa", counted("kappa", graph.kappa))
+        monkeypatch.setattr(coding, "diag", counted("diag", coding.diag))
+        assert cli._check_group_diagram(3) is None
+        assert calls == {"check_bits": 0, "tau": 0,
+                         "kappa": 16384, "diag": 16384}
 
 
 class TestScaling:
@@ -218,7 +243,9 @@ BAD_CLASSIFY = [  # (specs, flags, name the message must carry)
     ((APERIODIC,), ["--kmax", "24"], "kmax"),
     ((APERIODIC,), ["--kmax", "30", "--M", "40"], "kmax"),
     ((PRODUCT, APERIODIC), ["--kmax", "-1"], "kmax"),
-    ((PRODUCT,), ["--M", "0"], "kmax"),
+    # M lies in [1, MAX_M] for every spec, the aperiodic one included
+    ((PRODUCT, APERIODIC), ["--M", "0"], "M must"),
+    ((PRODUCT, APERIODIC), ["--M", "-3"], "M must"),
     ((PRODUCT, APERIODIC), ["--M", "63"], "M must"),
     ((PRODUCT, APERIODIC), ["--tol", "-1"], "tol"),
     ((PRODUCT, APERIODIC), ["--tol", "nan"], "tol"),

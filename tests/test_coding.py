@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from adicop import coding, dyadic, graph
 from adicop.dyadic import ResolutionError, tau
@@ -139,6 +139,47 @@ class TestCodedPointEquality:
             assert hash(p) == hash(q)
         copy = coding.CodedPoint(p.w.copy(), list(p.alpha))
         assert p == copy and hash(p) == hash(copy)
+
+
+@st.composite
+def packed_points(draw):
+    """w on D_N, a digit value a < 2**M and M, with N and M in 0-12 drawn
+    apart, so that N != M is common."""
+    N, M = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    w = np.random.default_rng(seed).integers(0, 2, 1 << N)
+    return w, draw(st.integers(0, (1 << M) - 1)), M
+
+
+class TestFromValue:
+    @given(packed_points())
+    @example((np.arange(8) % 2, 1000, 12))   # N = 3 < M = 12
+    @example((np.arange(4096) % 2, 5, 3))    # N = 12 > M = 3
+    def test_equals_digit_built(self, point):
+        w, a, M = point
+        p = coding.CodedPoint.from_value(w, a, M)
+        q = coding.CodedPoint(w, dyadic.alpha_digits(a, M))
+        assert p == q and hash(p) == hash(q)
+        assert p.alpha == q.alpha == dyadic.alpha_digits(a, M)
+        assert (p.a, p.N, p.M) == (q.a, q.N, q.M) == (a, w.size.bit_length() - 1, M)
+
+    @given(st.integers(0, 12), st.integers(0, 12), st.integers(1, 1 << 20))
+    def test_refuses_values_outside(self, N, M, k):
+        # the digit values -1 and 2**M are refused like any other value
+        # outside D_M, whatever the w resolution N
+        w = np.zeros(1 << N, dtype=np.uint8)
+        for a in (-1, 1 << M, -k, (1 << M) - 1 + k):
+            with pytest.raises(ResolutionError) as err:
+                coding.CodedPoint.from_value(w, a, M)
+            assert type(err.value) is ResolutionError
+
+    def test_alpha_is_read_only(self):
+        w = np.zeros(4, dtype=np.uint8)
+        for p in (coding.CodedPoint.from_value(w, 6, 3),
+                  coding.CodedPoint(w, (0, 1, 1))):
+            with pytest.raises(AttributeError):
+                p.alpha = (1, 1, 1)
+            assert p.alpha == (0, 1, 1)
 
 
 @st.composite

@@ -30,6 +30,17 @@ class TestSemimetrics:
         assert entropy.CutRhoK(1).dist(x, y) == 0.0
         assert entropy.CutRhoK(2).dist(x, y) == 1.0
 
+    @given(st.integers(0, 4), st.lists(st.integers(0, 1), max_size=4),
+           st.lists(st.integers(0, 1), max_size=4), st.booleans())
+    def test_cut_rho_k_reads_the_first_k_digits(self, k, a1, a2, same_w):
+        # digit sequences of any lengths: zero iff w agrees on D_k and the
+        # tuples alpha[:k] are equal, lengths included
+        w1 = np.arange(16) % 3 == 0
+        x = CodedPoint(w1, a1)
+        y = CodedPoint(w1 if same_w else ~w1, a2)
+        want = same_w and tuple(a1[:k]) == tuple(a2[:k])
+        assert entropy.CutRhoK(k).dist(x, y) == (0.0 if want else 1.0)
+
     def test_axioms_on_random_triples(self):
         rng = RNG(0)
         rho = entropy.WeightedSum(

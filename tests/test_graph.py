@@ -119,3 +119,41 @@ class TestKappa:
         top = graph.Vertex(2, np.zeros(4, dtype=np.uint8))
         with pytest.raises(ResolutionError):
             graph.kappa(4, graph.PathPrefix(top, (0, 0)))
+
+
+@st.composite
+def packed_paths(draw):
+    """A top vertex at depth 0-12 and an edge value in range for it."""
+    depth = draw(st.integers(0, 12))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    label = np.random.default_rng(seed).integers(0, 2, 1 << depth)
+    return graph.Vertex(depth, label), draw(st.integers(0, (1 << depth) - 1))
+
+
+class TestFromValue:
+    @given(packed_paths())
+    def test_equals_digit_built(self, path):
+        top, a = path
+        x = graph.PathPrefix.from_value(top, a)
+        y = graph.PathPrefix(top, graph.alpha_digits(a, top.floor))
+        assert x == y and hash(x) == hash(y)
+        assert x.alpha == y.alpha == graph.alpha_digits(a, top.floor)
+        assert x.a == y.a == a
+
+    @given(st.integers(0, 12), st.integers(1, 1 << 20))
+    def test_refuses_values_outside(self, depth, k):
+        # the edges of -1 and 2**depth are refused like any other
+        # value outside D_depth
+        top = graph.Vertex(depth, np.zeros(1 << depth, dtype=np.uint8))
+        for a in (-1, 1 << depth, -k, (1 << depth) - 1 + k):
+            with pytest.raises(ResolutionError) as err:
+                graph.PathPrefix.from_value(top, a)
+            assert type(err.value) is ResolutionError
+
+    def test_alpha_is_read_only(self):
+        top = graph.Vertex(2, [0, 1, 1, 0])
+        for x in (graph.PathPrefix.from_value(top, 2),
+                  graph.PathPrefix(top, (0, 1))):
+            with pytest.raises(AttributeError):
+                x.alpha = (1, 1)
+            assert x.alpha == (0, 1)
