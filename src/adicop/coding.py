@@ -16,7 +16,7 @@ import numpy as np
 
 from . import graph
 from .dyadic import (N_MAX, ResolutionError, alpha_digits, alpha_value,
-                     check_bits, check_mask, in_group)
+                     check_bits, check_mask, in_group, successor)
 
 
 class CodedPoint:
@@ -91,19 +91,10 @@ class ZWindow:
         return f"ZWindow({self.lo}, {self.hi}, {''.join(map(str, self.bits))})"
 
 
-_XOR_INDEX = [[np.arange(1 << n) ^ g for g in range(1 << n)]
-              for n in range(graph.EXHAUSTIVE_DEPTH + 1)]
-
-
-def _xor_index(n: int, g: int) -> np.ndarray:
-    """np.arange(2**n) ^ g for g in D_n; shared up to the exhaustive depth."""
-    return _XOR_INDEX[n][g] if n < len(_XOR_INDEX) else np.arange(1 << n) ^ g
-
-
 def psi(x: graph.PathPrefix) -> CodedPoint:
     """(F, A): A is the edge sequence, F reads the top label through the alpha shift."""
-    return CodedPoint.from_value(x.top.label[_xor_index(x.depth, x.a)], x.a,
-                                 x.depth)
+    idx = np.arange(1 << x.depth) ^ x.a
+    return CodedPoint.from_value(x.top.label[idx], x.a, x.depth)
 
 
 def vertex_labels(w: np.ndarray, a, n: int) -> np.ndarray:
@@ -127,16 +118,14 @@ def diag(g: int, p: CodedPoint) -> CodedPoint:
     n = min(p.N, p.M)
     if not in_group(g, n):
         raise ResolutionError(f"element {g} outside D_{n}")
-    return CodedPoint.from_value(p.w[_xor_index(p.N, g)], p.a ^ g, p.M)
+    idx = np.arange(1 << p.N) ^ g
+    return CodedPoint.from_value(p.w[idx], p.a ^ g, p.M)
 
 
 def odometer(alpha) -> tuple[int, ...]:
     """Add one with carry: the lowest 0 flips to 1, all digits below reset."""
     alpha = tuple(int(a) for a in alpha)
-    v = alpha_value(alpha)
-    if v == (1 << len(alpha)) - 1:
-        raise ResolutionError("odometer undefined at this resolution (all-ones digits)")
-    return alpha_digits(v + 1, len(alpha))
+    return alpha_digits(successor(alpha_value(alpha), len(alpha)), len(alpha))
 
 
 def odometer_inv(alpha) -> tuple[int, ...]:
@@ -149,12 +138,12 @@ def odometer_inv(alpha) -> tuple[int, ...]:
 
 def adic_on_coded(p: CodedPoint) -> CodedPoint:
     """Coded form of the adic successor: translate w by the carry, advance alpha."""
-    if p.a == (1 << p.M) - 1:
-        raise ResolutionError("odometer undefined at this resolution (all-ones digits)")
-    g = (p.a + 1) ^ p.a
+    a = successor(p.a, p.M)
+    g = a ^ p.a
     if not in_group(g, p.N):
         raise ResolutionError("carry exceeds the w resolution")
-    return CodedPoint.from_value(p.w[_xor_index(p.N, g)], p.a + 1, p.M)
+    idx = np.arange(1 << p.N) ^ g
+    return CodedPoint.from_value(p.w[idx], a, p.M)
 
 
 def lambda_alpha(alpha, k: int, a: int | None = None) -> int:

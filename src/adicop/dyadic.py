@@ -52,6 +52,13 @@ def alpha_value(digits) -> int:
     return sum(int(d) << i for i, d in enumerate(digits))
 
 
+def successor(value: int, n: int) -> int:
+    """The odometer on n packed digits: value + 1, undefined at all ones."""
+    if value == (1 << n) - 1:
+        raise ResolutionError("odometer undefined at this resolution (all-ones digits)")
+    return value + 1
+
+
 def check_bits(digits) -> tuple[int, ...]:
     """The digits as a tuple of ints; ValueError unless every one is a bit."""
     digits = tuple(digits)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dyadic import (ResolutionError, alpha_digits, alpha_value, check_bits,
-                     in_group)
+                     in_group, successor)
 
 EXHAUSTIVE_DEPTH = 4
 
@@ -101,11 +101,10 @@ class PathPrefix:
         return [self.vertex(j) for j in range(self.depth + 1)]
 
     def __eq__(self, other):
-        return (self.a == other.a and self.depth == other.depth
-                and self.top.label.tobytes() == other.top.label.tobytes())
+        return self.a == other.a and self.top == other.top
 
     def __hash__(self):
-        return hash((self.a, self.depth, self.top.label.tobytes()))
+        return hash((self.a, self.top))
 
     def __repr__(self):
         return f"PathPrefix(top={self.top!r}, alpha={self.alpha})"
@@ -156,9 +155,7 @@ def adic_successor(x: PathPrefix) -> PathPrefix:
     path is unchanged from that floor upward.  Undefined on the all-ones
     edge sequence at this resolution.
     """
-    if x.a == (1 << x.depth) - 1:
-        raise ResolutionError("successor undefined at this resolution (all-ones edges)")
-    return PathPrefix.from_value(x.top, x.a + 1)
+    return PathPrefix.from_value(x.top, successor(x.a, x.depth))
 
 
 def reverse_lex_key(x: PathPrefix) -> int:
