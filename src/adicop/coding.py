@@ -91,25 +91,29 @@ class ZWindow:
         return f"ZWindow({self.lo}, {self.hi}, {''.join(map(str, self.bits))})"
 
 
+def xor_index(n: int, g) -> np.ndarray:
+    """The index map j -> j XOR g on D_n (per row for a column of g's)."""
+    return np.arange(1 << n) ^ g
+
+
 def psi(x: graph.PathPrefix) -> CodedPoint:
     """(F, A): A is the edge sequence, F reads the top label through the alpha shift."""
-    idx = np.arange(1 << x.depth) ^ x.a
+    idx = xor_index(x.depth, x.a)
     return CodedPoint.from_value(x.top.label[idx], x.a, x.depth)
 
 
 def vertex_labels(w: np.ndarray, a, n: int) -> np.ndarray:
     """Floor-n vertex labels of coded paths, vectorized over the rows of w
-    with digit values a: psi_inv's index map, the top label reads w at
-    j XOR a.  The floor-n vertex keeps the n lowest digits, so its label
-    reads w at j XOR (a mod 2**n), j < 2**n."""
-    idx = np.arange(1 << n) ^ (np.asarray(a)[..., None] % (1 << n))
+    with digit values a: the floor-n vertex keeps the n lowest digits, so
+    psi_inv's index map reads its label at j XOR (a mod 2**n), j < 2**n."""
+    idx = xor_index(n, np.asarray(a)[..., None] % (1 << n))
     return np.take_along_axis(w, idx, axis=-1)
 
 
 def psi_inv(p: CodedPoint) -> graph.PathPrefix:
     if p.N != p.M:
         raise ResolutionError("psi_inv needs matching resolutions N = M")
-    top = vertex_labels(p.w, p.a, p.N)
+    top = p.w[xor_index(p.N, p.a)]  # vertex_labels' map, on one row
     return graph.PathPrefix.from_value(graph.Vertex(p.N, top), p.a)
 
 
@@ -118,22 +122,7 @@ def diag(g: int, p: CodedPoint) -> CodedPoint:
     n = min(p.N, p.M)
     if not in_group(g, n):
         raise ResolutionError(f"element {g} outside D_{n}")
-    idx = np.arange(1 << p.N) ^ g
-    return CodedPoint.from_value(p.w[idx], p.a ^ g, p.M)
-
-
-def odometer(alpha) -> tuple[int, ...]:
-    """Add one with carry: the lowest 0 flips to 1, all digits below reset."""
-    alpha = tuple(int(a) for a in alpha)
-    return alpha_digits(successor(alpha_value(alpha), len(alpha)), len(alpha))
-
-
-def odometer_inv(alpha) -> tuple[int, ...]:
-    alpha = tuple(int(a) for a in alpha)
-    v = alpha_value(alpha)
-    if v == 0:
-        raise ResolutionError("inverse odometer undefined at this resolution (all-zeros digits)")
-    return alpha_digits(v - 1, len(alpha))
+    return CodedPoint.from_value(p.w[xor_index(p.N, g)], p.a ^ g, p.M)
 
 
 def adic_on_coded(p: CodedPoint) -> CodedPoint:
@@ -142,8 +131,7 @@ def adic_on_coded(p: CodedPoint) -> CodedPoint:
     g = a ^ p.a
     if not in_group(g, p.N):
         raise ResolutionError("carry exceeds the w resolution")
-    idx = np.arange(1 << p.N) ^ g
-    return CodedPoint.from_value(p.w[idx], a, p.M)
+    return CodedPoint.from_value(p.w[xor_index(p.N, g)], a, p.M)
 
 
 def lambda_alpha(alpha, k: int, a: int | None = None) -> int:
@@ -158,14 +146,6 @@ def lambda_alpha(alpha, k: int, a: int | None = None) -> int:
         raise ResolutionError(
             f"integer {k} outside the representable segment [{-a}, {-a + (1 << len(alpha)) - 1}]")
     return check_mask(u ^ a)
-
-
-def lambda_segment(alpha, n: int) -> range:
-    """Integer preimage of D_n: the segment {-a_n, ..., -a_n + 2**n - 1}."""
-    if n > len(alpha):
-        raise ResolutionError(f"n = {n} exceeds the digit resolution {len(alpha)}")
-    a_n = alpha_value(alpha[:n])
-    return range(-a_n, -a_n + (1 << n))
 
 
 def lambda_window(p: CodedPoint, L: int) -> ZWindow:

@@ -55,13 +55,6 @@ class MSigmaSampler:
         return {"w": self.draw_w(n, rng)}
 
 
-def m_h_sampler(h_generators, N: int) -> MSigmaSampler:
-    """Pushforward of Lebesgue measure on I^{D/H} for H generated by a subset
-    of generators: same machinery with sigma = 0 exactly on H's generators."""
-    gens = set(h_generators)
-    return MSigmaSampler([0 if i in gens else 1 for i in range(N)], N)
-
-
 class OmegaSigmaSampler(MSigmaSampler):
     """omega^sigma = m^sigma x m: the configuration plus uniform digits."""
 

