@@ -117,8 +117,8 @@ def average_z(rho: Semimetric, t: int) -> Semimetric:
 # covering estimators
 
 def _max_uncovered(eps: float, n: int) -> int:
-    # exact, so that n may exceed the float range (orbit counts q**(2**m))
-    return math.floor(Fraction(eps) * n - Fraction(1e-9))
+    # exact, as n may exceed floats (q**(2**m)); 0, not -1, at eps * n < 1e-9
+    return max(0, math.floor(Fraction(eps) * n - Fraction(1e-9)))
 
 
 def _cover_relation(D: np.ndarray, unit, eps: float, out) -> np.ndarray:

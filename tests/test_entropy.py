@@ -275,12 +275,15 @@ class TestGreedyIncremental:
             greedy(cover, 0.1)
 
     @staticmethod
-    def count_steps(cover, eps, counts):
-        """The greedy's count and its number of argmax steps."""
-        with mock.patch.object(entropy.np, "argmax",
-                               wraps=np.argmax) as argmax:
-            balls = entropy.greedy_cover_count(cover, eps, counts)
-        return balls, argmax.call_count
+    def best_gains(cover, counts, balls):
+        """The best weighted gain before each of the given balls is taken,
+        read off the relation itself."""
+        uncovered = np.ones(len(cover), bool)
+        best = []
+        for c in balls:
+            best.append(int(((counts * uncovered) @ cover).max()))
+            uncovered &= ~cover[c]
+        return best
 
     # points on a line: a cluster of three within one ball, then isolated
     # points, at radius eps/2 = 0.05
@@ -288,20 +291,31 @@ class TestGreedyIncremental:
 
     def test_unit_gain_stop_after_a_multi_point_ball(self):
         D = np.abs(self.LINE[:, None] - self.LINE[None, :])
-        balls, steps = self.count_steps(within(D, 0.1), 0.1, units(8))
-        # one ball of three, then five of one: the second step stops
-        assert balls == reference_greedy(D, 0.1) == 6
-        assert steps == 2
+        cover = within(D, 0.1)
+        # one ball of three, then the best gain is 1: five balls of one
+        assert self.best_gains(cover, units(8), [1, 3]) == [3, 1]
+        assert greedy(cover, 0.1) == reference_greedy(D, 0.1) == 6
 
     def test_unit_gain_stop_waits_for_a_weighted_point(self):
         # point 3 was drawn twice: its ball gains 2 although it holds one
-        # point, so it must be chosen before the stop
+        # point, so it must be chosen before the best gain falls to 1
         counts = np.array([1, 1, 1, 2, 1, 1, 1, 1])
         D = np.abs(self.LINE[:, None] - self.LINE[None, :])
+        cover = within(D, 0.1)
         rows = np.repeat(np.arange(8), counts)
-        balls, steps = self.count_steps(within(D, 0.1), 0.1, counts)
-        assert balls == reference_greedy(D[np.ix_(rows, rows)], 0.1) == 6
-        assert steps == 3
+        assert self.best_gains(cover, counts, [1, 3, 4]) == [3, 2, 1]
+        assert entropy.greedy_cover_count(cover, 0.1, counts) == \
+            reference_greedy(D[np.ix_(rows, rows)], 0.1) == 6
+
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_tiny_eps_covers_every_point(self, copies):
+        # eps * n below the 1e-9 slack allows no uncovered point: every
+        # point gets a ball, no more (each listed once or twice)
+        D = np.abs(self.LINE[:, None] - self.LINE[None, :])
+        counts = np.full(8, copies)
+        assert entropy._max_uncovered(1e-12, int(counts.sum())) == 0
+        assert entropy.greedy_cover_count(within(D, 1e-12), 1e-12,
+                                          counts) == 8
 
 
 def reference_pair_matrix(X, w):
