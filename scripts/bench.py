@@ -9,14 +9,20 @@ started in a checkout (by default this one), with S the `run_seconds` of
 BENCHMARK.json.  With several checkouts, say a parent commit and a change,
 each (seed, workload) runs once in every checkout, in an order that
 alternates from one seed to the next.  The file holds, per checkout, its
-git commit, the git tree of its src/ and whether it had uncommitted
-changes; per run, the checkout, workload and seed with the details line
-and the result line of perfbench/run.py; and per workload and checkout the
-median of each metric over the runs.
+git commit, the git tree of its src/, whether it had uncommitted changes
+and whether cached bytecode (*.pyc) lay under its src/; the value of
+PYTHONDONTWRITEBYTECODE; per run, the checkout, workload and seed with the
+details line and the result line of perfbench/run.py; and per workload and
+checkout the median of each metric over the runs.
+
+A checkout with cached bytecode skips compiling src/ at start-up, so
+checkouts that differ in it are not comparable on setup_s; the script warns
+on stderr when they do.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -29,6 +35,21 @@ SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 def git(checkout, *args):
     return subprocess.run(["git", *args], cwd=checkout, capture_output=True,
                           text=True, check=True).stdout.strip()
+
+
+def cached_bytecode(checkout) -> bool:
+    """Whether any *.pyc lies under the checkout's src/."""
+    return any((Path(checkout) / "src").rglob("*.pyc"))
+
+
+def warn_bytecode(revisions):
+    """Warn on stderr when some checkouts hold cached bytecode and others
+    do not."""
+    cached = [name for name, r in revisions.items() if r["cached_bytecode"]]
+    if 0 < len(cached) < len(revisions):
+        print(f"warning: only {', '.join(cached)} of the checkouts cached "
+              "bytecode under src/, so setup_s is not comparable across them",
+              file=sys.stderr)
 
 
 def bench(checkout, workload, seed):
@@ -50,8 +71,10 @@ def main():
     checkouts = [c.split("=", 1) for c in args.checkout or [f"this={ROOT}"]]
     revisions = {name: {"commit": git(path, "rev-parse", "HEAD"),
                         "src_tree": git(path, "rev-parse", "HEAD:src"),
-                        "dirty": bool(git(path, "status", "--porcelain"))}
+                        "dirty": bool(git(path, "status", "--porcelain")),
+                        "cached_bytecode": cached_bytecode(path)}
                  for name, path in checkouts}
+    warn_bytecode(revisions)
     runs = []
     for i, seed in enumerate(args.seeds):
         for workload in args.workloads:
@@ -71,6 +94,7 @@ def main():
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps({
         "tag": args.tag, "seconds": SECONDS, "checkouts": revisions,
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "medians": medians, "runs": runs}, indent=1) + "\n")
     print(out)
 

@@ -275,12 +275,14 @@ PERIOD8_WORD = (0, 0, 0, 1, 0, 1, 1, 1)
 
 
 def _spec_params(toks, keys) -> dict:
-    """The key=value tokens of a measure spec; any other token is refused."""
+    """A measure spec's key=value tokens; refuses others and repeated keys."""
     params = {}
     for t in toks:
         key, eq, value = t.partition("=")
         if not eq or key not in keys:
             raise ValueError(f"unknown token {t!r}")
+        if key in params:
+            raise ValueError(f"repeated key {key!r}")
         params[key] = value
     return params
 

@@ -102,18 +102,10 @@ def psi(x: graph.PathPrefix) -> CodedPoint:
     return CodedPoint.from_value(x.top.label[idx], x.a, x.depth)
 
 
-def vertex_labels(w: np.ndarray, a, n: int) -> np.ndarray:
-    """Floor-n vertex labels of coded paths, vectorized over the rows of w
-    with digit values a: the floor-n vertex keeps the n lowest digits, so
-    psi_inv's index map reads its label at j XOR (a mod 2**n), j < 2**n."""
-    idx = xor_index(n, np.asarray(a)[..., None] % (1 << n))
-    return np.take_along_axis(w, idx, axis=-1)
-
-
 def psi_inv(p: CodedPoint) -> graph.PathPrefix:
     if p.N != p.M:
         raise ResolutionError("psi_inv needs matching resolutions N = M")
-    top = p.w[xor_index(p.N, p.a)]  # vertex_labels' map, on one row
+    top = p.w[xor_index(p.N, p.a)]
     return graph.PathPrefix.from_value(graph.Vertex(p.N, top), p.a)
 
 

@@ -92,7 +92,7 @@ class BernoulliBase:
 
     def draw(self, n: int, lo: int, hi: int, rng, shift=0) -> dict:
         # i.i.d. windows have the same law at every shift
-        y = (rng.random(size=(n, hi - lo + 1)) < self.p).astype(np.uint8)
+        y = (rng.random(size=(n, hi - lo + 1)) < self.p).view(np.uint8)
         return {"y": y, "lo": lo}
 
 
@@ -112,8 +112,10 @@ class AtomicBase:
 
     def draw(self, n: int, lo: int, hi: int, rng, shift=0) -> dict:
         off = self.shifts[rng.integers(0, len(self.shifts), size=n)] + shift
-        pos = off[:, None] + np.arange(lo, hi + 1)[None, :]
-        return {"y": self.word[pos % len(self.word)], "lo": lo}
+        # one modulo per row, then a gather from the word repeated cyclically
+        start = (off + lo) % len(self.word)
+        word = np.resize(self.word, hi - lo + len(self.word))
+        return {"y": word[start[:, None] + np.arange(hi - lo + 1)], "lo": lo}
 
 
 class ToeplitzBase:
@@ -124,6 +126,10 @@ class ToeplitzBase:
     a residue class mod 4, those with three a class mod 16, and so on), so
     the shift on this law has the odometer as a quotient and the level sets
     of the dyadic eigenfunctions are simply {v = r mod 2**n}.
+
+    `render` reduces by & (2**R - 1), on int64 the floor residue mod 2**R
+    for negative sums too; u with t trailing ones has u ^ (u + 1) =
+    2**(t + 1) - 1, so y = 1 - popcount(u ^ (u + 1)) mod 2.
     """
 
     invariant_period = 1
@@ -132,11 +138,8 @@ class ToeplitzBase:
         self.R = R
 
     def render(self, val: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        u = (val[:, None] + np.arange(lo, hi + 1)[None, :]) % (1 << self.R)
-        v = u + 1  # trailing ones of u = trailing zeros of u + 1
-        lowbit = v & -v
-        odd_positions = 0xAAAAAAAAAAAAAAA  # bits 1, 3, 5, ...
-        return ((lowbit & odd_positions) != 0).astype(np.uint8)
+        u = (val[:, None] + np.arange(lo, hi + 1)) & ((1 << self.R) - 1)
+        return (np.bitwise_count(u ^ (u + 1)) & 1) ^ 1
 
     def draw(self, n: int, lo: int, hi: int, rng, k: int = 0,
              r: int = 0, shift=0) -> dict:
@@ -294,8 +297,10 @@ def pack_words(y: np.ndarray, lo: int, start: int, L: int) -> np.ndarray:
     c0 = start - lo
     if c0 < 0 or c0 + L > y.shape[1]:
         raise ValueError("window does not cover the requested cylinder")
-    block = y[:, c0:c0 + L].astype(np.int64)
-    return block @ (1 << np.arange(L, dtype=np.int64))
+    code = np.zeros(y.shape[0], dtype=np.int64)
+    for i in range(L):
+        code |= y[:, c0 + i].astype(np.int64) << i
+    return code
 
 
 CHUNK = 1 << 18  # rows one draw may hold, so memory is bounded for any n

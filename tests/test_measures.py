@@ -4,8 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from adicop import coding, measures
+from adicop import measures
+from test_coding import vertex_labels
 
 
 def RNG(s=0):
@@ -100,6 +102,80 @@ class TestBases:
         for n in (1, 2, 3):
             r = levels.level(d, n)
             assert np.array_equal(levels.level(shifted, n), (r + 1) % (1 << n))
+
+
+class TestWindowKernels:
+    """Each window kernel against the expression it replaced, kept inline:
+    int64 modulo on every cell, and pack_words' matrix product."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(R=st.sampled_from([6, 24]),
+           vals=st.lists(st.integers(-1 << 40, 1 << 40), min_size=1,
+                         max_size=20),
+           lo=st.integers(-80, 80), width=st.integers(0, 80))
+    @example(R=6, vals=[-7, -1, 0, 2], lo=-5, width=4)  # val + lo < 0
+    @example(R=6, vals=[63, 127], lo=0, width=1)  # u = 2**R - 1
+    @example(R=24, vals=[(1 << 24) - 1, -1], lo=0, width=1)
+    @example(R=24, vals=[(3 << 24) + 5, (1 << 24) - 2], lo=-8, width=16)
+    def test_render_is_the_lowbit_form(self, R, vals, lo, width):
+        val = np.asarray(vals, dtype=np.int64)
+        hi = lo + width - 1
+        u = (val[:, None] + np.arange(lo, hi + 1)[None, :]) % (1 << R)
+        v = u + 1  # trailing ones of u = trailing zeros of u + 1
+        lowbit = v & -v
+        odd_positions = 0xAAAAAAAAAAAAAAA  # bits 1, 3, 5, ...
+        want = ((lowbit & odd_positions) != 0).astype(np.uint8)
+        y = measures.ToeplitzBase(R).render(val, lo, hi)
+        assert y.dtype == np.uint8
+        assert np.array_equal(y, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(P=st.sampled_from([1, 3, 8, 1000]), step=st.integers(1, 9),
+           lo=st.integers(-2500, 2500), width=st.integers(0, 2100),
+           shifted=st.booleans(), seed=st.integers(0, 1 << 16))
+    @example(P=3, step=1, lo=-7, width=11, shifted=True, seed=0)  # L > P
+    @example(P=1, step=1, lo=-4, width=6, shifted=False, seed=1)
+    @example(P=8, step=4, lo=-6, width=6, shifted=True, seed=2)
+    @example(P=1000, step=7, lo=-2100, width=2050, shifted=True, seed=3)
+    def test_atomic_draw_is_the_modulo_form(self, P, step, lo, width,
+                                            shifted, seed):
+        base = measures.AtomicBase(RNG(seed).integers(0, 2, P),
+                                   range(0, P, step))
+        n, hi = 7, lo + width - 1
+        shift = RNG(seed + 1).integers(-3 * P, 3 * P, n) if shifted else 0
+        got, ref = RNG(seed), RNG(seed)
+        y = base.draw(n, lo, hi, got, shift)["y"]
+        off = base.shifts[ref.integers(0, len(base.shifts), size=n)] + shift
+        pos = off[:, None] + np.arange(lo, hi + 1)[None, :]
+        want = base.word[pos % len(base.word)]
+        assert y.dtype == np.uint8
+        assert np.array_equal(y, want)
+        assert got.random() == ref.random()
+
+    @given(L=st.integers(0, 20), c0=st.integers(0, 4),
+           extra=st.integers(0, 4), seed=st.integers(0, 1 << 16))
+    @example(L=0, c0=0, extra=0, seed=0)
+    @example(L=20, c0=3, extra=0, seed=1)  # start > lo
+    def test_pack_words_is_the_product(self, L, c0, extra, seed):
+        y = RNG(seed).integers(0, 2, (9, c0 + L + extra)).astype(np.uint8)
+        lo = -c0 - L
+        code = measures.pack_words(y, lo, lo + c0, L)
+        block = y[:, c0:c0 + L].astype(np.int64)
+        want = block @ (1 << np.arange(L, dtype=np.int64))
+        assert code.dtype == np.int64
+        assert np.array_equal(code, want)
+
+    def test_aperiodic_projection_memory(self):
+        # 25000 rows x 6 columns: the parent's modulo and lowest-bit form
+        # peaked at 4.9 MiB, the popcount form at about 2.6 MiB
+        sampler = SAMPLERS["aperiodic-toeplitz"]()
+        tracemalloc.start()
+        try:
+            measures.project_theta(sampler, 2, 0, 6, 25000, RNG(51))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * (1 << 20)
 
 
 class TestProjections:
@@ -278,7 +354,7 @@ def d_centrality_defect(sample, n, rows):
     r) are equally likely; r is uniform, so that holds when the laws of the
     vertex given r agree for every r.
     """
-    labels = coding.vertex_labels(sample["w"], sample["alpha"], n)
+    labels = vertex_labels(sample["w"], sample["alpha"], n)
     codes = labels.astype(np.int64) @ (1 << np.arange(1 << n))
     r = sample["alpha"] % (1 << n)
     tables = []
