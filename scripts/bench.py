@@ -11,9 +11,11 @@ each (seed, workload) runs once in every checkout, in an order that
 alternates from one seed to the next.  The file holds, per checkout, its
 git commit, the git tree of its src/, whether it had uncommitted changes
 and whether cached bytecode (*.pyc) lay under its src/; the value of
-PYTHONDONTWRITEBYTECODE; per run, the checkout, workload and seed with the
-details line and the result line of perfbench/run.py; and per workload and
-checkout the median of each metric over the runs.
+PYTHONDONTWRITEBYTECODE; per run, the checkout, workload and seed, the
+1-minute load average just before the run (`load1`), and the details line
+and the result line of perfbench/run.py; and per workload and checkout the
+median of each metric over the runs.  A load1 near or above the core count
+marks a run made while other work shared the machine.
 
 A checkout with cached bytecode skips compiling src/ at start-up, so
 checkouts that differ in it are not comparable on setup_s; the script warns
@@ -52,13 +54,16 @@ def warn_bytecode(revisions):
               file=sys.stderr)
 
 
-def bench(checkout, workload, seed):
+def bench(checkout, workload, seed) -> dict:
+    """One run's record: the load before it, its details and result lines."""
+    load1 = os.getloadavg()[0]
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True)
     details, result = proc.stdout.splitlines()[-2:]
-    return json.loads(details), json.loads(result)
+    return {"load1": load1, "details": json.loads(details),
+            "result": json.loads(result)}
 
 
 def main():
@@ -79,12 +84,11 @@ def main():
     for i, seed in enumerate(args.seeds):
         for workload in args.workloads:
             for name, path in checkouts[::-1] if i % 2 else checkouts:
-                details, result = bench(path, workload, seed)
-                runs.append({"checkout": name, "workload": workload,
-                             "seed": seed, "details": details,
-                             "result": result})
+                run = {"checkout": name, "workload": workload, "seed": seed,
+                       **bench(path, workload, seed)}
+                runs.append(run)
                 print(f"{workload} seed {seed} {name}: correct "
-                      f"{result['correct']}", file=sys.stderr)
+                      f"{run['result']['correct']}", file=sys.stderr)
     medians = {w: {name: {m: statistics.median(
                        r["result"]["metrics"][m]["value"] for r in runs
                        if r["workload"] == w and r["checkout"] == name)

@@ -171,11 +171,11 @@ def _check_adic_order(depth):
 
 
 def _check_kappa_orbits(depth):
-    for x in graph.iter_paths(depth):
-        orbit = {graph.kappa(g, x).alpha for g in range(1 << depth)}
-        if len(orbit) != 1 << depth:
-            return f"kappa orbit degenerate at {x!r}"
-        break  # orbit structure only depends on alpha; one path suffices
+    # orbit structure only depends on alpha; one path suffices
+    x = next(graph.iter_paths(depth))
+    orbit = {graph.kappa(g, x).alpha for g in range(1 << depth)}
+    if len(orbit) != 1 << depth:
+        return f"kappa orbit degenerate at {x!r}"
     return None
 
 
@@ -307,9 +307,9 @@ def build_sampler(spec: str, M: int):
             if not 1 <= period <= 1 << dyadic.N_MAX:
                 raise ValueError(f"period must lie in [1, 2**{dyadic.N_MAX}]"
                                  f", got {period}")
-            word = [PERIOD8_WORD[i % 8] for i in range(period)]
             step = math.gcd(1 << k, period)
-            base = measures.AtomicBase(word, range(0, period, step))
+            base = measures.AtomicBase(np.resize(PERIOD8_WORD, period),
+                                       np.arange(0, period, step))
             return measures.PeriodicTypeSampler(k, base, M)
         if kind == "aperiodic" and toks[1:2] == ["toeplitz"]:
             params = _spec_params(toks[2:], ("alpha",))

@@ -72,20 +72,11 @@ class ZWindow:
         self.hi = hi
         self.bits = bits
 
-    def __getitem__(self, k: int) -> int:
-        if not self.lo <= k <= self.hi:
-            raise ResolutionError(f"index {k} outside window [{self.lo}, {self.hi}]")
-        return int(self.bits[k - self.lo])
-
     def shift(self) -> "ZWindow":
         """Left shift: the new window reads y(k+1) at k."""
         if self.hi == self.lo:
             raise ResolutionError("window too short to shift")
         return ZWindow(self.lo, self.hi - 1, self.bits[1:])
-
-    def __eq__(self, other):
-        return (self.lo == other.lo and self.hi == other.hi
-                and np.array_equal(self.bits, other.bits))
 
     def __repr__(self):
         return f"ZWindow({self.lo}, {self.hi}, {''.join(map(str, self.bits))})"

@@ -1,4 +1,4 @@
-"""Admissible semimetrics, their averagings, and epsilon-entropy estimation.
+"""The semimetric base class and epsilon-entropy estimation.
 
 The estimator covers an i.i.d. sample greedily with balls of radius eps/2
 (so covered sets have diameter below eps) until the uncovered fraction
@@ -32,85 +32,15 @@ from fractions import Fraction
 import numpy as np
 
 from . import measures
-from .coding import CodedPoint, adic_on_coded, diag
 from .dyadic import N_MAX, sigma_extend
 
 
 # ---------------------------------------------------------------------------
-# semimetrics on coded points
+# semimetrics
 
 class Semimetric:
     def dist(self, x, y) -> float:
         raise NotImplementedError
-
-
-class CutW0(Semimetric):
-    """Cut on the configuration value at the group identity."""
-
-    def dist(self, x: CodedPoint, y: CodedPoint) -> float:
-        return float(x.w[0] != y.w[0])
-
-
-class CutRhoK(Semimetric):
-    """rho_k: zero iff the configurations agree on D_k and the first k digits
-    agree, one otherwise."""
-
-    def __init__(self, k: int):
-        self.k = k
-
-    def dist(self, x: CodedPoint, y: CodedPoint) -> float:
-        m = 1 << self.k
-        # alpha[:k] agree: as many digits, equal below bit k of the values
-        same = (np.array_equal(x.w[:m], y.w[:m])
-                and min(x.M, self.k) == min(y.M, self.k)
-                and (x.a ^ y.a) % m == 0)
-        return 0.0 if same else 1.0
-
-
-class WeightedSum(Semimetric):
-    def __init__(self, parts, weights):
-        self.parts = list(parts)
-        self.weights = list(weights)
-
-    def dist(self, x, y) -> float:
-        return sum(w * p.dist(x, y) for p, w in zip(self.parts, self.weights))
-
-
-class AveragedGroup(Semimetric):
-    """(1/|D_n|) sum over g in D_n of rho(diag(g)x, diag(g)y)."""
-
-    def __init__(self, rho: Semimetric, n: int):
-        self.rho = rho
-        self.n = n
-
-    def dist(self, x, y) -> float:
-        total = 0.0
-        for g in range(1 << self.n):
-            total += self.rho.dist(diag(g, x), diag(g, y))
-        return total / (1 << self.n)
-
-
-class AveragedZ(Semimetric):
-    """(1/t) sum over j < t of rho(T^j x, T^j y), T the adic map."""
-
-    def __init__(self, rho: Semimetric, t: int):
-        self.rho = rho
-        self.t = t
-
-    def dist(self, x, y) -> float:
-        total = 0.0
-        for _ in range(self.t - 1):
-            total += self.rho.dist(x, y)
-            x, y = adic_on_coded(x), adic_on_coded(y)
-        return (total + self.rho.dist(x, y)) / self.t
-
-
-def average_group(rho: Semimetric, n: int) -> Semimetric:
-    return rho if n == 0 else AveragedGroup(rho, n)
-
-
-def average_z(rho: Semimetric, t: int) -> Semimetric:
-    return rho if t == 1 else AveragedZ(rho, t)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,8 @@ from collections import Counter
 import numpy as np
 
 from .coding import CodedPoint, diag
-from .entropy import (CutRhoK, EntropyCurve, Semimetric, _cover_bits,
-                      _max_uncovered, curve_sampler, first_occurrence,
-                      scaling_curve)
+from .entropy import (EntropyCurve, Semimetric, _cover_bits, _max_uncovered,
+                      curve_sampler, first_occurrence, scaling_curve)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +291,22 @@ def reduce_symbols(w_rows: np.ndarray, n: int, k: int) -> np.ndarray:
     S = rows.shape[0]
     blocks = rows.reshape(S, 1 << (n - k), 1 << k).astype(np.int64)
     return blocks @ (1 << np.arange(1 << k, dtype=np.int64))
+
+
+class CutRhoK(Semimetric):
+    """rho_k: zero iff the configurations agree on D_k and the first k digits
+    agree, one otherwise."""
+
+    def __init__(self, k: int):
+        self.k = k
+
+    def dist(self, x: CodedPoint, y: CodedPoint) -> float:
+        m = 1 << self.k
+        # alpha[:k] agree: as many digits, equal below bit k of the values
+        same = (np.array_equal(x.w[:m], y.w[:m])
+                and min(x.M, self.k) == min(y.M, self.k)
+                and (x.a ^ y.a) % m == 0)
+        return 0.0 if same else 1.0
 
 
 def kantorovich_rho_k_orbit(w1: np.ndarray, w2: np.ndarray, n: int, k: int) -> float:

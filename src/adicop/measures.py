@@ -105,10 +105,9 @@ class AtomicBase:
 
     def __init__(self, word, shifts):
         self.word = np.asarray(word, dtype=np.uint8)
-        self.shifts = np.asarray(sorted(shifts), dtype=np.int64)
-        self.invariant_period = math.gcd(
-            *(int(d) for d in np.diff(self.shifts)), len(self.word)) \
-            if len(self.shifts) > 1 else len(self.word)
+        self.shifts = np.sort(np.asarray(shifts, dtype=np.int64))
+        self.invariant_period = int(np.gcd.reduce(np.diff(self.shifts),
+                                                  initial=len(self.word)))
 
     def draw(self, n: int, lo: int, hi: int, rng, shift=0) -> dict:
         off = self.shifts[rng.integers(0, len(self.shifts), size=n)] + shift
@@ -269,10 +268,9 @@ def make_aperiodic(base, levels: OdometerLevels, alpha) -> AperiodicSampler:
 class CylinderTable:
     """Frequencies of length-L words read at a fixed window position."""
 
-    def __init__(self, counts: np.ndarray, L: int, start: int):
+    def __init__(self, counts: np.ndarray, L: int):
         self.counts = np.asarray(counts, dtype=np.float64)
         self.L = L
-        self.start = start
         self.n = float(self.counts.sum())
 
     @property
@@ -288,7 +286,7 @@ class CylinderTable:
     def mixture(tables, weights) -> "CylinderTable":
         t0 = tables[0]
         f = sum(w * t.freq for t, w in zip(tables, weights))
-        return CylinderTable(f, t0.L, t0.start)
+        return CylinderTable(f, t0.L)
 
 
 def pack_words(y: np.ndarray, lo: int, start: int, L: int) -> np.ndarray:
@@ -325,7 +323,7 @@ def project_theta(sampler, k: int, r: int, L: int, n_accept: int, rng,
     for start in range(0, n_accept, CHUNK):
         d = sampler.draw(min(CHUNK, n_accept - start), lo, hi, rng, k, r)
         counts += np.bincount(pack_words(d["y"], lo, lo, L), minlength=1 << L)
-    return CylinderTable(counts, L, -L), 1.0
+    return CylinderTable(counts, L), 1.0
 
 
 def theta_verdict(tables, tol: float, n_accept: int) -> dict:
@@ -391,5 +389,5 @@ def classify_periodic_type(sampler, k_max: int, L: int, n_accept: int,
     counts = [np.zeros(1 << L) for _ in range(k_max + 2)]
     for (k, _), c in zip(jobs, parts):
         counts[k] += c
-    return theta_verdict([CylinderTable(c, L, -L) for c in counts], tol,
+    return theta_verdict([CylinderTable(c, L) for c in counts], tol,
                          n_accept)

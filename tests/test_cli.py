@@ -1,10 +1,12 @@
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -331,6 +333,21 @@ class TestClassify:
                     "--M", "62", "--kmax", "2", "--n-accept", "200"]) == 0
         assert len(json.loads(capsys.readouterr().out)["tv_ladder"]) == 3
 
+    @pytest.mark.parametrize("spec,k,period", [
+        ("periodic k=0", 0, 1), ("periodic k=2 period=24", 2, 24),
+        ("periodic k=3 period=12", 3, 12), ("periodic k=5 period8", 5, 8)])
+    def test_periodic_base(self, spec, k, period):
+        # the word repeated to the period, and the shifts a multiple of
+        # gcd(2**k, period) apart, as built one Python step per position
+        base = cli.build_sampler(spec, 8).base
+        step = math.gcd(1 << k, period)
+        word = [cli.PERIOD8_WORD[i % 8] for i in range(period)]
+        shifts = sorted(range(0, period, step))
+        assert base.word.tolist() == word
+        assert base.shifts.tolist() == shifts
+        assert base.invariant_period == math.gcd(
+            *(b - a for a, b in zip(shifts, shifts[1:])), period)
+
     def test_workers_byte_identical(self, tmp_path):
         outs = []
         for w in ("1", "4"):
@@ -566,3 +583,24 @@ class TestBenchScript:
         bench.warn_bytecode({name: {"cached_bytecode": f} for name, f
                              in zip(("parent", "change"), flags)})
         assert ("cached bytecode" in capsys.readouterr().err) == warned
+
+    def test_records_the_load_before_each_run(self):
+        bench = _script("bench")
+        calls = []
+
+        def getloadavg():
+            calls.append("load")
+            return (2.5, 1.0, 0.5)
+
+        def fake_run(cmd, **kwargs):
+            calls.append("run")
+            assert kwargs["cwd"] == "parent"
+            return subprocess.CompletedProcess(
+                cmd, 0, stdout='{"details": 1}\n{"correct": true}\n')
+
+        with mock.patch.object(bench.os, "getloadavg", getloadavg), \
+                mock.patch.object(bench.subprocess, "run", fake_run):
+            record = bench.bench("parent", "growth-d", 3)
+        assert calls == ["load", "run"]
+        assert record == {"load1": 2.5, "details": {"details": 1},
+                          "result": {"correct": True}}

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adicop import entropy, filtration, measures
-from adicop.coding import CodedPoint
+from adicop.coding import CodedPoint, adic_on_coded, diag
+from adicop.dyadic import ResolutionError
+from adicop.entropy import Semimetric
 from adicop.measures import MSigmaSampler, OmegaSigmaSampler
 
 
@@ -26,12 +28,69 @@ def random_points(rng, n, N=4, M=4):
             for _ in range(n)]
 
 
+# ---------------------------------------------------------------------------
+# the paper's averaged semimetrics on coded points, the reference for the
+# feature metrics the estimators cover
+
+class CutW0(Semimetric):
+    """Cut on the configuration value at the group identity."""
+
+    def dist(self, x: CodedPoint, y: CodedPoint) -> float:
+        return float(x.w[0] != y.w[0])
+
+
+class WeightedSum(Semimetric):
+    def __init__(self, parts, weights):
+        self.parts = list(parts)
+        self.weights = list(weights)
+
+    def dist(self, x, y) -> float:
+        return sum(w * p.dist(x, y) for p, w in zip(self.parts, self.weights))
+
+
+class AveragedGroup(Semimetric):
+    """(1/|D_n|) sum over g in D_n of rho(diag(g)x, diag(g)y)."""
+
+    def __init__(self, rho: Semimetric, n: int):
+        self.rho = rho
+        self.n = n
+
+    def dist(self, x, y) -> float:
+        total = 0.0
+        for g in range(1 << self.n):
+            total += self.rho.dist(diag(g, x), diag(g, y))
+        return total / (1 << self.n)
+
+
+class AveragedZ(Semimetric):
+    """(1/t) sum over j < t of rho(T^j x, T^j y), T the adic map."""
+
+    def __init__(self, rho: Semimetric, t: int):
+        self.rho = rho
+        self.t = t
+
+    def dist(self, x, y) -> float:
+        total = 0.0
+        for _ in range(self.t - 1):
+            total += self.rho.dist(x, y)
+            x, y = adic_on_coded(x), adic_on_coded(y)
+        return (total + self.rho.dist(x, y)) / self.t
+
+
+def average_group(rho: Semimetric, n: int) -> Semimetric:
+    return rho if n == 0 else AveragedGroup(rho, n)
+
+
+def average_z(rho: Semimetric, t: int) -> Semimetric:
+    return rho if t == 1 else AveragedZ(rho, t)
+
+
 class TestSemimetrics:
     def test_cut_rho_k(self):
         x = CodedPoint([0, 1, 0, 1], (0, 1))
         y = CodedPoint([0, 1, 1, 1], (0, 1))
-        assert entropy.CutRhoK(1).dist(x, y) == 0.0
-        assert entropy.CutRhoK(2).dist(x, y) == 1.0
+        assert filtration.CutRhoK(1).dist(x, y) == 0.0
+        assert filtration.CutRhoK(2).dist(x, y) == 1.0
 
     @given(st.integers(0, 4), st.lists(st.integers(0, 1), max_size=4),
            st.lists(st.integers(0, 1), max_size=4), st.booleans())
@@ -42,12 +101,11 @@ class TestSemimetrics:
         x = CodedPoint(w1, a1)
         y = CodedPoint(w1 if same_w else ~w1, a2)
         want = same_w and tuple(a1[:k]) == tuple(a2[:k])
-        assert entropy.CutRhoK(k).dist(x, y) == (0.0 if want else 1.0)
+        assert filtration.CutRhoK(k).dist(x, y) == (0.0 if want else 1.0)
 
     def test_axioms_on_random_triples(self):
         rng = RNG(0)
-        rho = entropy.WeightedSum(
-            [entropy.CutW0(), entropy.CutRhoK(2)], [0.3, 0.7])
+        rho = WeightedSum([CutW0(), filtration.CutRhoK(2)], [0.3, 0.7])
         for _ in range(100):
             x, y, z = random_points(rng, 3)
             assert rho.dist(x, x) == 0.0
@@ -60,7 +118,7 @@ class TestSemimetrics:
         rng = RNG(1)
         for _ in range(20):
             x, y = random_points(rng, 2, N=3, M=3)
-            avg = entropy.average_group(entropy.CutW0(), 3).dist(x, y)
+            avg = average_group(CutW0(), 3).dist(x, y)
             assert avg == pytest.approx(np.mean(x.w != y.w))
 
     def test_averaged_z_telescopes(self):
@@ -76,11 +134,52 @@ class TestSemimetrics:
             a = int(rng.integers(0, 32 - t))
             alpha = tuple((a >> i) & 1 for i in range(5))
             x, y = CodedPoint(w1, alpha), CodedPoint(w2, alpha)
-            avg = entropy.average_z(entropy.CutW0(), t)
+            avg = average_z(CutW0(), t)
             direct = np.mean([w1[a ^ (a + j)] != w2[a ^ (a + j)]
                               for j in range(t)])
             assert avg.dist(x, y) == pytest.approx(direct)
             checked += 1
+
+
+class TestFeatureMetricsAreTheAverages:
+    """The pair matrices the estimators cover, over their total weight,
+    equal the averaged w(0)-cut on the coded sample points, entry for
+    entry."""
+
+    M = 6
+
+    def sample(self, sigma):
+        d = OmegaSigmaSampler(sigma, self.M, self.M).draw(40, RNG(0))
+        points = [CodedPoint.from_value(w, int(a), self.M)
+                  for w, a in zip(d["w"], d["alpha"])]
+        return d["w"], d["alpha"], points
+
+    @pytest.mark.parametrize("sigma", [(1,) * 6, (1, 0) * 3])
+    @pytest.mark.parametrize("n", range(5))
+    def test_group_feature_metric(self, sigma, n):
+        w, _, points = self.sample(sigma)
+        D = entropy.group_feature_metric(w, n).pair_matrix() / 2**n
+        rho = AveragedGroup(CutW0(), n)
+        assert [[rho.dist(x, y) for y in points] for x in points] == D.tolist()
+
+    @pytest.mark.parametrize("sigma", [(1,) * 6, (1, 0) * 3])
+    @pytest.mark.parametrize("t", [1, 2, 4, 8, 16])
+    def test_z_feature_metric(self, sigma, t):
+        # the feature metric takes the odometer cyclically modulo 2**M; the
+        # adic map is undefined past the last digit value, so the average
+        # raises on exactly the rows that would wrap, a + t > 2**M
+        w, alpha, points = self.sample(sigma)
+        D = entropy.z_feature_metric(w, alpha, t).pair_matrix() / t
+        wraps = alpha + t > 1 << self.M
+        rho = AveragedZ(CutW0(), t)
+        for (i, x), (j, y) in itertools.product(enumerate(points), repeat=2):
+            if wraps[i] or wraps[j]:
+                with pytest.raises(ResolutionError):
+                    rho.dist(x, y)
+            else:
+                assert rho.dist(x, y) == D[i, j]
+        if t == 16:
+            assert 0 < wraps.sum() < len(wraps)
 
 
 def within(D, eps):
@@ -680,6 +779,18 @@ class TestKernelMemory:
         assert peak_bytes(self.block().pair_matrix) < n * n * 5 // 4
 
 
+def run_python(script: str) -> str:
+    """stdout of `script` in a fresh interpreter that imports this adicop."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(entropy.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestNoMaskedArrays:
     def test_scaling_does_not_import_numpy_ma(self):
         # np.unique without return_* arguments imports numpy.ma on first
@@ -694,15 +805,18 @@ class TestNoMaskedArrays:
             "        cli.main(['scaling', '--mode', mode, '--sigma', '1111',\n"
             "                  '--scales', '2 4', '--samples', '200'])\n"
             "print(before, 'numpy.ma' in sys.modules)\n")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(entropy.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        before, after = proc.stdout.split()
+        before, after = run_python(script).split()
         assert after == before
+
+
+class TestLayering:
+    def test_entropy_does_not_import_the_coding_layer(self):
+        # the estimators read feature matrices and symbol trees; coded
+        # points and the graph of ordered pairs stay out of entropy
+        script = ("import sys, adicop.entropy\n"
+                  "print('adicop.coding' in sys.modules,"
+                  " 'adicop.graph' in sys.modules)\n")
+        assert run_python(script).split() == ["False", "False"]
 
 
 class TestCheckScales:

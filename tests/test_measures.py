@@ -62,6 +62,20 @@ class TestBases:
         base = measures.AtomicBase([0, 0, 0, 1, 0, 1, 1, 1], [0, 4])
         assert base.invariant_period == 4
 
+    @given(shifts=st.lists(st.integers(0, 100), max_size=8),
+           P=st.integers(1, 64))
+    @example(shifts=[6, 0, 3, 3], P=12)  # unsorted, repeated
+    @example(shifts=[5], P=8)
+    @example(shifts=[], P=8)
+    def test_atomic_invariant_period_is_the_gcd_fold(self, shifts, P):
+        base = measures.AtomicBase(np.zeros(P), shifts)
+        s = sorted(shifts)
+        want = math.gcd(*(b - a for a, b in zip(s, s[1:])), P) \
+            if len(s) > 1 else P
+        assert type(base.invariant_period) is int
+        assert base.invariant_period == want
+        assert base.shifts.tolist() == s
+
     def test_atomic_draw_is_shifted_word(self):
         word = [0, 1, 1, 0]
         base = measures.AtomicBase(word, [0, 2])
@@ -191,7 +205,7 @@ class TestProjections:
 
     def test_theta_equals_base_for_product(self):
         sampler = measures.ProductSampler(measures.BernoulliBase(), 6)
-        uniform = measures.CylinderTable(np.full(64, 1.0), 6, -6)
+        uniform = measures.CylinderTable(np.full(64, 1.0), 6)
         for k in (0, 2, 3):
             t, _ = measures.project_theta(sampler, k, 0, 6, 30000, RNG(11))
             assert t.tv(uniform) <= 0.03
@@ -253,7 +267,7 @@ def reference_project_theta(sampler, k, r, L, n_accept, rng, shift=0):
         codes = measures.pack_words(d["y"][take], lo, lo, L)
         counts += np.bincount(codes, minlength=1 << L)
         kept += len(take)
-    return measures.CylinderTable(counts, L, -L)
+    return measures.CylinderTable(counts, L)
 
 
 def tv_noise_bound(cells, n):
@@ -413,7 +427,7 @@ class TestAperiodic:
         keep = levels.level(d, n) == r
         direct = measures.CylinderTable(
             np.bincount(measures.pack_words(d["y"][keep], -6, -6, 6),
-                        minlength=64), 6, -6)
+                        minlength=64), 6)
         assert t.tv(direct) <= 0.05
 
     def test_mutual_singularity_surrogate(self):
@@ -450,8 +464,8 @@ class TestClassifier:
 
 class TestTables:
     def test_tv_range_and_mixture(self):
-        a = measures.CylinderTable(np.array([3.0, 1.0]), 1, 0)
-        b = measures.CylinderTable(np.array([1.0, 3.0]), 1, 0)
+        a = measures.CylinderTable(np.array([3.0, 1.0]), 1)
+        b = measures.CylinderTable(np.array([1.0, 3.0]), 1)
         assert a.tv(b) == pytest.approx(0.5)
         mix = measures.CylinderTable.mixture([a, b], [0.5, 0.5])
         assert np.allclose(mix.freq, [0.5, 0.5])
