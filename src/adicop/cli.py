@@ -237,13 +237,11 @@ def cmd_oracle(args, cfg) -> int:
 # ---------------------------------------------------------------------------
 # scaling
 
-def sharded_curve(args, sigma, scales, eps_grid, k: int = 0,
-                  min_scales: int = 1) -> EntropyCurve:
+def sharded_curve(args, sigma, scales, eps_grid, k: int = 0) -> EntropyCurve:
     """The library's curve on the sampler `entropy.curve_sampler` builds;
     a request it refuses is a usage error."""
     try:
-        sampler = curve_sampler(args.mode, sigma, scales, args.samples, k,
-                                min_scales)
+        sampler = curve_sampler(args.mode, sigma, scales, args.samples, k)
     except ValueError as e:
         raise UsageError(str(e)) from None
     return scaling_curve(args.mode, sampler, scales, eps_grid, args.samples,
@@ -254,7 +252,9 @@ def cmd_scaling(args, cfg) -> int:
     sigma = parse_sigma(args.sigma)
     scales = parse_int_list(args.scales)
     eps_grid = parse_eps_list(args.eps)
-    curve = sharded_curve(args, sigma, scales, eps_grid, args.k, min_scales=2)
+    if len(scales) < 2:
+        raise UsageError(f"scaling needs at least 2 scales, got {len(scales)}")
+    curve = sharded_curve(args, sigma, scales, eps_grid, args.k)
     target = (sigma_target_z if args.mode == "z" else sigma_target_d)(
         sigma, scales)
     verdicts = {str(eps): asymp_compare(curve.bits(eps), target)

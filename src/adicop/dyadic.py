@@ -80,25 +80,5 @@ def sigma_extend(sigma, n: int) -> tuple[int, ...]:
     return sigma + (0,) * (n - len(sigma))
 
 
-def coset_index(g: int, sigma, n: int) -> int:
-    """Canonical index of g's coset of (D^sigma intersect D_n) inside D_n.
-
-    Two elements share an index iff they differ by an element generated by
-    the g_i with sigma_i = 0.  The index packs the bits of g at positions
-    with sigma_i = 1, in increasing position order, so the range is exactly
-    {0, ..., 2**sum(sigma_i, i<n) - 1}.
-    """
-    if not in_group(g, n):
-        raise ResolutionError(f"element {g} outside D_{n}")
-    sigma = sigma_extend(sigma, n)
-    idx = 0
-    k = 0
-    for i in range(n):
-        if sigma[i]:
-            idx |= ((g >> i) & 1) << k
-            k += 1
-    return idx
-
-
 def coset_count(sigma, n: int) -> int:
     return 1 << sum(sigma_extend(sigma, n))

@@ -328,21 +328,23 @@ def z_aligned_metric(w: np.ndarray, alpha: np.ndarray, t: int) -> FeatureMetric:
 
 
 def check_scales(mode: str, scales, samples: int, resolution: int,
-                 k: int = 0, min_scales: int = 1) -> None:
+                 k: int = 0) -> None:
     """Reject a curve request before anything is drawn (ValueError).
 
-    Scales are equipment levels n (mode "d"), filtration levels n > k >= 0
-    (mode "filtration") or dyadic times t = 2**n (mode "z"); every n must
-    lie within the resolution.
+    Scales are equipment levels n (mode "d"), filtration levels n > k
+    (mode "filtration", where a leaf symbol packs the 2**k digits of a D_k
+    restriction into one code, so 0 <= k <= measures.PACK_LOG2) or dyadic
+    times t = 2**n (mode "z"); every n must lie within the resolution.
     """
     if mode not in ("d", "z", "filtration"):
         raise ValueError(f"unknown mode {mode!r}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    if len(scales) < min_scales:
-        raise ValueError(f"need at least {min_scales} scales, got {len(scales)}")
-    if mode == "filtration" and k < 0:
-        raise ValueError(f"k must be at least 0, got {k}")
+    if not scales:
+        raise ValueError("no scales given")
+    if mode == "filtration" and not 0 <= k <= measures.PACK_LOG2:
+        raise ValueError(f"k must lie in [0, {measures.PACK_LOG2}], 2**k "
+                         f"digits packed per symbol, got {k}")
     lowest = k + 1 if mode == "filtration" else 0
     for s in scales:
         n = s.bit_length() - 1 if mode == "z" else s
@@ -354,12 +356,11 @@ def check_scales(mode: str, scales, samples: int, resolution: int,
                              + (f" (above k = {k})" if lowest else ""))
 
 
-def curve_sampler(mode: str, sigma, scales, samples: int, k: int = 0,
-                  min_scales: int = 1):
+def curve_sampler(mode: str, sigma, scales, samples: int, k: int = 0):
     """The sampler a curve of `mode` draws from: m^sigma on D_N with N the
     top scale, or omega^sigma with M = N = log2 of the top time in mode
     "z".  The scales pass `check_scales` at N_MAX before it is built."""
-    check_scales(mode, scales, samples, N_MAX, k, min_scales)
+    check_scales(mode, scales, samples, N_MAX, k)
     if mode == "z":
         N = max(scales).bit_length() - 1
         return measures.OmegaSigmaSampler(sigma, N, N)

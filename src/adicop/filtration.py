@@ -21,6 +21,7 @@ import numpy as np
 from .coding import CodedPoint, diag
 from .entropy import (EntropyCurve, Semimetric, _cover_bits, _max_uncovered,
                       curve_sampler, first_occurrence, scaling_curve)
+from .measures import pack_words
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +287,9 @@ def lemma17_entropy_estimate(m: int, r: int, q: int, eps: float,
 def reduce_symbols(w_rows: np.ndarray, n: int, k: int) -> np.ndarray:
     """Leaf symbols of the reduced tree: position indexed by the span of
     g_k..g_{n-1}, symbol = the restriction of w to the corresponding coset
-    of D_k, packed to an integer."""
+    of D_k, packed by `pack_words` (so k <= measures.PACK_LOG2)."""
     rows = w_rows[:, : 1 << n]
-    S = rows.shape[0]
-    blocks = rows.reshape(S, 1 << (n - k), 1 << k).astype(np.int64)
-    return blocks @ (1 << np.arange(1 << k, dtype=np.int64))
+    return pack_words(rows.reshape(rows.shape[0], 1 << (n - k), 1 << k))
 
 
 class CutRhoK(Semimetric):

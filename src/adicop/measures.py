@@ -24,17 +24,25 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .dyadic import (alpha_value, check_bits, coset_count, coset_index,
-                     sigma_extend)
+from .dyadic import alpha_value, check_bits, coset_count, sigma_extend
 
 
 # ---------------------------------------------------------------------------
 # configuration samplers (measures on I^{D_N})
 
 def coset_index_map(sigma, n: int) -> np.ndarray:
-    """coset_index for every mask in D_n, as an int array of length 2**n."""
-    return np.fromiter((coset_index(g, sigma, n) for g in range(1 << n)),
-                       dtype=np.int64, count=1 << n)
+    """Canonical index of the coset of (D^sigma intersect D_n) of every mask
+    in D_n: the mask's bits at the positions with sigma_i = 1, packed in
+    order, so two masks share an index iff they differ inside D^sigma, and
+    the range is {0, ..., 2**sum(sigma_i, i<n) - 1}.  Built by doubling: the
+    masks of D_{i+1} above D_i index as those below plus sigma_i << (the
+    ones of sigma below i)."""
+    index = np.zeros(1 << n, dtype=np.int64)
+    ones = 0
+    for i, s in enumerate(sigma_extend(sigma, n)):
+        np.add(index[:1 << i], s << ones, out=index[1 << i:2 << i])
+        ones += s
+    return index
 
 
 class MSigmaSampler:
@@ -93,7 +101,7 @@ class BernoulliBase:
     def draw(self, n: int, lo: int, hi: int, rng, shift=0) -> dict:
         # i.i.d. windows have the same law at every shift
         y = (rng.random(size=(n, hi - lo + 1)) < self.p).view(np.uint8)
-        return {"y": y, "lo": lo}
+        return {"y": y}
 
 
 class AtomicBase:
@@ -114,7 +122,7 @@ class AtomicBase:
         # one modulo per row, then a gather from the word repeated cyclically
         start = (off + lo) % len(self.word)
         word = np.resize(self.word, hi - lo + len(self.word))
-        return {"y": word[start[:, None] + np.arange(hi - lo + 1)], "lo": lo}
+        return {"y": word[start[:, None] + np.arange(hi - lo + 1)]}
 
 
 class ToeplitzBase:
@@ -145,7 +153,7 @@ class ToeplitzBase:
         """n rows with the odometer value conditioned on r modulo 2**k,
         then advanced by `shift`."""
         val = _conditioned(rng, n, self.R, k, r) + shift
-        return {"val": val, "y": self.render(val, lo, hi), "lo": lo}
+        return {"val": val, "y": self.render(val, lo, hi)}
 
 
 class OdometerLevels:
@@ -289,15 +297,18 @@ class CylinderTable:
         return CylinderTable(f, t0.L)
 
 
-def pack_words(y: np.ndarray, lo: int, start: int, L: int) -> np.ndarray:
-    """Encode the length-L window starting at integer position `start` as an
-    integer per sample (bit i of the code = symbol at start + i)."""
-    c0 = start - lo
-    if c0 < 0 or c0 + L > y.shape[1]:
-        raise ValueError("window does not cover the requested cylinder")
-    code = np.zeros(y.shape[0], dtype=np.int64)
+PACK_LOG2 = 6  # a code is one int64: at most 2**PACK_LOG2 digits
+
+
+def pack_words(bits: np.ndarray) -> np.ndarray:
+    """The digit codec on arrays: the int64 code whose bit i is bits[..., i]
+    (the order of `alpha_value`), one per leading index."""
+    L = bits.shape[-1]
+    if L > 1 << PACK_LOG2:
+        raise ValueError(f"{L} digits exceed the {1 << PACK_LOG2} of a code")
+    code = np.zeros(bits.shape[:-1], dtype=np.int64)
     for i in range(L):
-        code |= y[:, c0 + i].astype(np.int64) << i
+        code |= bits[..., i].astype(np.int64) << i
     return code
 
 
@@ -322,7 +333,7 @@ def project_theta(sampler, k: int, r: int, L: int, n_accept: int, rng,
     counts = np.zeros(1 << L)
     for start in range(0, n_accept, CHUNK):
         d = sampler.draw(min(CHUNK, n_accept - start), lo, hi, rng, k, r)
-        counts += np.bincount(pack_words(d["y"], lo, lo, L), minlength=1 << L)
+        counts += np.bincount(pack_words(d["y"]), minlength=1 << L)
     return CylinderTable(counts, L), 1.0
 
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,19 @@ class TestTau:
         assert len(seen) == 1 << 12
 
 
+def coset_index(g: int, sigma, n: int) -> int:
+    """Reference for `measures.coset_index_map`, one mask at a time: the
+    bits of g at the positions with sigma_i = 1, packed in order."""
+    sigma = dyadic.sigma_extend(sigma, n)
+    idx = 0
+    k = 0
+    for i in range(n):
+        if sigma[i]:
+            idx |= ((g >> i) & 1) << k
+            k += 1
+    return idx
+
+
 class TestCosetIndex:
     @pytest.mark.parametrize("g,sigma,n,want", [
         (0b10, (1, 1), 2, 2),   # sigma all ones: index equals the mask
@@ -78,30 +92,43 @@ class TestCosetIndex:
         (0b11, (0, 1), 2, 1),
     ])
     def test_examples(self, g, sigma, n, want):
-        assert dyadic.coset_index(g, sigma, n) == want
+        assert coset_index(g, sigma, n) == want
+        assert measures.coset_index_map(sigma, n)[g] == want
 
     def test_two_cosets(self):
-        idx = {dyadic.coset_index(g, (0, 1), 2) for g in range(4)}
-        assert idx == {0, 1}
+        assert set(measures.coset_index_map((0, 1), 2).tolist()) == {0, 1}
 
     def test_index_counts_exhaustive(self):
-        # |image| = 2^{sum sigma} for every sigma of length <= 8
-        for n in range(1, 9):
+        # the doubling build is the per-bit loop, and its image has
+        # 2^{sum sigma} indices, for every sigma of length <= 8
+        for n in range(9):
             for bits in range(1 << n):
                 sigma = tuple((bits >> i) & 1 for i in range(n))
-                idx = {dyadic.coset_index(g, sigma, n) for g in range(1 << n)}
-                assert idx == set(range(dyadic.coset_count(sigma, n)))
-                assert len(idx) == 1 << sum(sigma)
+                index = measures.coset_index_map(sigma, n)
+                assert index.dtype == np.int64
+                assert index.tolist() == [coset_index(g, sigma, n)
+                                          for g in range(1 << n)]
+                assert set(index.tolist()) == set(
+                    range(dyadic.coset_count(sigma, n)))
 
     @given(masks8, masks8, st.lists(st.integers(0, 1), min_size=8, max_size=8))
     def test_same_index_iff_same_coset(self, a, b, sigma):
         kernel_mask = sum((1 - s) << i for i, s in enumerate(sigma))
-        same = dyadic.coset_index(a, sigma, 8) == dyadic.coset_index(b, sigma, 8)
-        assert same == (dyadic.add(a, b) & ~kernel_mask == 0)
+        index = measures.coset_index_map(sigma, 8)
+        assert (index[a] == index[b]) == (dyadic.add(a, b) & ~kernel_mask == 0)
 
-    def test_outside_group(self):
-        with pytest.raises(dyadic.ResolutionError):
-            dyadic.coset_index(16, (1, 1), 2)
+    def test_top_resolution_build_memory(self):
+        # D_20 holds 2**20 masks: the index is 8 MiB of int64, where a
+        # (2**20 x 20) int64 bit matrix would need 160 MiB
+        tracemalloc.start()
+        try:
+            sampler = measures.MSigmaSampler((1, 0), dyadic.N_MAX)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 << 20
+        assert sampler.n_cosets == 2
+        assert sampler.index.tolist() == [0, 1] * (1 << (dyadic.N_MAX - 1))
 
 
 class TestSigmaExtend:

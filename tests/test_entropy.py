@@ -822,20 +822,22 @@ class TestLayering:
 class TestCheckScales:
     @pytest.mark.parametrize("mode,scales,k", [
         ("d", [0, 20], 0), ("filtration", [1, 20], 0),
-        ("filtration", [3, 4], 2), ("z", [1, 2 ** 20], 0)])
+        ("filtration", [3, 4], 2), ("z", [1, 2 ** 20], 0),
+        ("filtration", [7, 20], 6)])
     def test_edges_accepted(self, mode, scales, k):
-        entropy.check_scales(mode, scales, 1, 20, k, min_scales=2)
+        entropy.check_scales(mode, scales, 1, 20, k)
 
-    @pytest.mark.parametrize("mode,scales,samples,k,min_scales", [
-        ("d", [3, 4], 0, 0, 1), ("d", [4], 10, 0, 2), ("d", [], 10, 0, 1),
-        ("d", [-1], 10, 0, 1), ("d", [21], 10, 0, 1),
-        ("filtration", [2, 3], 10, 2, 1), ("filtration", [3], 10, -1, 1),
-        ("filtration", [21], 10, 1, 1), ("z", [0], 10, 0, 1),
-        ("z", [-4], 10, 0, 1), ("z", [6], 10, 0, 1), ("z", [2 ** 21], 10, 0, 1),
-        ("x", [3], 10, 0, 1)])
-    def test_rejected(self, mode, scales, samples, k, min_scales):
+    @pytest.mark.parametrize("mode,scales,samples,k", [
+        ("d", [3, 4], 0, 0), ("d", [], 10, 0),
+        ("d", [-1], 10, 0), ("d", [21], 10, 0),
+        ("filtration", [2, 3], 10, 2), ("filtration", [3], 10, -1),
+        ("filtration", [8, 9], 10, 7),
+        ("filtration", [21], 10, 1), ("z", [0], 10, 0),
+        ("z", [-4], 10, 0), ("z", [6], 10, 0), ("z", [2 ** 21], 10, 0),
+        ("x", [3], 10, 0)])
+    def test_rejected(self, mode, scales, samples, k):
         with pytest.raises(ValueError):
-            entropy.check_scales(mode, scales, samples, 20, k, min_scales)
+            entropy.check_scales(mode, scales, samples, 20, k)
 
     def test_wrappers_check_before_drawing(self):
         class Refusing:

@@ -479,6 +479,26 @@ class TestReduction:
                 reduced = filtration.kantorovich_rho_k_reduced(w1, w2, n, k)
                 assert generic == reduced
 
+    def test_top_digit_of_a_symbol_counts(self):
+        # at k = 6 a symbol packs 64 digits; restrictions to D_6 that
+        # differ only in digit 63 must stay apart
+        n, k = 7, 6
+        w1 = np.zeros(1 << n, dtype=np.uint8)
+        w2 = w1.copy()
+        w2[63] = 1
+        s1, s2 = filtration.reduce_symbols(np.stack([w1, w2]), n, k)
+        assert s1[0] != s2[0] and s1[1] == s2[1]
+        assert filtration.dist_m(s1, s2) > 0
+        assert filtration.kantorovich_rho_k_reduced(w1, w2, n, k) > 0
+
+    def test_symbols_past_the_code_refused(self):
+        # k = 7 would pack 128 digits into one int64 code
+        w = np.zeros(1 << 8, dtype=np.uint8)
+        with pytest.raises(ValueError, match="128 digits"):
+            filtration.reduce_symbols(w[None, :], 8, 7)
+        with pytest.raises(ValueError, match="128 digits"):
+            filtration.kantorovich_rho_k_reduced(w, w, 8, 7)
+
     def test_phi_representative_constant_on_orbits(self):
         # translating w and compensating the digits lands in the same class:
         # the zero-digit representative of the translate by g is w(g + .)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from adicop import measures
+from adicop.dyadic import alpha_value
 from test_coding import vertex_labels
 
 
@@ -119,8 +120,9 @@ class TestBases:
 
 
 class TestWindowKernels:
-    """Each window kernel against the expression it replaced, kept inline:
-    int64 modulo on every cell, and pack_words' matrix product."""
+    """Each window kernel against the expression it replaced, kept inline
+    (int64 modulo on every cell), and pack_words against the digit codec
+    `alpha_value`, row by row."""
 
     @settings(max_examples=150, deadline=None)
     @given(R=st.sampled_from([6, 24]),
@@ -166,18 +168,24 @@ class TestWindowKernels:
         assert np.array_equal(y, want)
         assert got.random() == ref.random()
 
-    @given(L=st.integers(0, 20), c0=st.integers(0, 4),
-           extra=st.integers(0, 4), seed=st.integers(0, 1 << 16))
-    @example(L=0, c0=0, extra=0, seed=0)
-    @example(L=20, c0=3, extra=0, seed=1)  # start > lo
-    def test_pack_words_is_the_product(self, L, c0, extra, seed):
-        y = RNG(seed).integers(0, 2, (9, c0 + L + extra)).astype(np.uint8)
-        lo = -c0 - L
-        code = measures.pack_words(y, lo, lo + c0, L)
-        block = y[:, c0:c0 + L].astype(np.int64)
-        want = block @ (1 << np.arange(L, dtype=np.int64))
+    @settings(max_examples=150, deadline=None)
+    @given(L=st.integers(0, 64), top=st.booleans(),
+           seed=st.integers(0, 1 << 16))
+    @example(L=0, top=False, seed=0)
+    @example(L=64, top=True, seed=1)  # digit 63 set: a negative int64
+    @example(L=64, top=False, seed=2)
+    def test_pack_words_is_the_product(self, L, top, seed):
+        # every row's code is its alpha_value, read modulo 2**64
+        bits = RNG(seed).integers(0, 2, (2, 5, L)).astype(np.uint8)
+        if L:
+            bits[0, :, -1] = top
+        code = measures.pack_words(bits)
         assert code.dtype == np.int64
-        assert np.array_equal(code, want)
+        assert code.shape == (2, 5)
+        assert [int(c) % (1 << 64) for c in code.ravel()] == [
+            alpha_value(row) for row in bits.reshape(10, L)]
+        with pytest.raises(ValueError, match="65 digits"):
+            measures.pack_words(np.zeros((3, 65), dtype=np.uint8))
 
     def test_aperiodic_projection_memory(self):
         # 25000 rows x 6 columns: the parent's modulo and lowest-bit form
@@ -264,7 +272,7 @@ def reference_project_theta(sampler, k, r, L, n_accept, rng, shift=0):
         d = sampler.draw(chunk, lo, hi, rng)
         take = np.flatnonzero((d["alpha"] & ((1 << k) - 1)) == r)
         take = take[:n_accept - kept]
-        codes = measures.pack_words(d["y"][take], lo, lo, L)
+        codes = measures.pack_words(d["y"][take])
         counts += np.bincount(codes, minlength=1 << L)
         kept += len(take)
     return measures.CylinderTable(counts, L)
@@ -426,7 +434,7 @@ class TestAperiodic:
         d = base.draw(200000, -6, -1, RNG(16))
         keep = levels.level(d, n) == r
         direct = measures.CylinderTable(
-            np.bincount(measures.pack_words(d["y"][keep], -6, -6, 6),
+            np.bincount(measures.pack_words(d["y"][keep]),
                         minlength=64), 6)
         assert t.tv(direct) <= 0.05
 
