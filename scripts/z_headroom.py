@@ -6,15 +6,16 @@ to the sample ceiling log2(n - floor(eps * n)), at each sample size n.
     python3 scripts/z_headroom.py [--samples N ...] [--times T ...]
                                   [--eps E ...] [--seed S]
 
-`entropy.scaling_curve` in mode "z" reports the max of the direct estimate
-(the plain greedy on the t-step averaged cut) and the aligned estimate (the
-block-additive estimate of its phase-aligned form).  Every ball of the
-direct greedy covers at least one new point and floor(eps * n) points may
-stay uncovered, so a direct estimate close to that ceiling measures the
-sample size as much as the metric; the aligned estimate sums blocks and
-has no such ceiling.  The sample is the one `scaling_curve` draws for
-the same seed and top time, so at n = 2000 and seed 0 the max is the value
-in results/scaling_z_<regime>.csv.  Nothing is written.
+`entropy.scaling_curve` in mode "z" reports the max of the two
+`entropy.z_estimates`: the direct estimate (the plain greedy on the t-step
+averaged cut) and the aligned estimate (the block-additive estimate of its
+phase-aligned form).  Every ball of the direct greedy covers at least one
+new point and floor(eps * n) points may stay uncovered, so a direct
+estimate close to that ceiling measures the sample size as much as the
+metric; the aligned estimate sums blocks and has no such ceiling.  The
+sample is the one `scaling_curve` draws for the same seed and top time, so
+at n = 2000 and seed 0 the max is the value in
+results/scaling_z_<regime>.csv.  Nothing is written.
 """
 
 import argparse
@@ -42,11 +43,8 @@ def main():
             sample = measures.draw_sharded(sampler, n, args.seed, 1)
             w, alpha = sample["w"], sample["alpha"]
             for t in args.times:
-                direct = entropy.feature_entropy_bits(
-                    entropy.z_feature_metric(w, alpha, t), args.eps,
-                    block_dim=None)
-                aligned = entropy.feature_entropy_bits(
-                    entropy.z_aligned_metric(w, alpha, t), args.eps)
+                direct, aligned = entropy.z_estimates(w, alpha, t,
+                                                      args.eps)
                 for eps, d, a in zip(args.eps, direct, aligned):
                     ceiling = math.log2(n - math.floor(eps * n))
                     winner = ("direct" if d > a else "aligned" if a > d

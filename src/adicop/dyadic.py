@@ -18,9 +18,9 @@ class ResolutionError(ValueError):
     """An element, digit carry or window index escaped the configured resolution."""
 
 
-def check_mask(mask: int, n: int = N_MAX) -> int:
-    if mask < 0 or mask >> n:
-        raise ResolutionError(f"mask {mask} outside D_{n}")
+def check_mask(mask: int) -> int:
+    if mask < 0 or mask >> N_MAX:
+        raise ResolutionError(f"mask {mask} outside D_{N_MAX}")
     return mask
 
 

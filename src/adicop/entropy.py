@@ -327,14 +327,24 @@ def z_aligned_metric(w: np.ndarray, alpha: np.ndarray, t: int) -> FeatureMetric:
     return FeatureMetric(feats, np.ones(t, dtype=np.int64))
 
 
+def z_estimates(w: np.ndarray, alpha: np.ndarray, t: int, eps_grid):
+    """Covering estimates of the t-step averaged cut, one per eps: direct
+    (plain greedy on the metric, sharp at small t, saturating near
+    log2(sample size)) and aligned (block-additive on its phase-aligned
+    form, tracking the effective dimension at large t)."""
+    return (feature_entropy_bits(z_feature_metric(w, alpha, t), eps_grid,
+                                 block_dim=None),
+            feature_entropy_bits(z_aligned_metric(w, alpha, t), eps_grid))
+
+
 def check_scales(mode: str, scales, samples: int, resolution: int,
                  k: int = 0) -> None:
     """Reject a curve request before anything is drawn (ValueError).
 
     Scales are equipment levels n (mode "d"), filtration levels n > k
-    (mode "filtration", where a leaf symbol packs the 2**k digits of a D_k
-    restriction into one code, so 0 <= k <= measures.PACK_LOG2) or dyadic
-    times t = 2**n (mode "z"); every n must lie within the resolution.
+    (mode "filtration") or dyadic times t = 2**n (mode "z"); every n must
+    lie within the resolution, and 0 <= k <= measures.PACK_LOG2 in every
+    mode (a filtration leaf symbol packs the 2**k digits of D_k in a code).
     """
     if mode not in ("d", "z", "filtration"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -342,7 +352,7 @@ def check_scales(mode: str, scales, samples: int, resolution: int,
         raise ValueError(f"samples must be at least 1, got {samples}")
     if not scales:
         raise ValueError("no scales given")
-    if mode == "filtration" and not 0 <= k <= measures.PACK_LOG2:
+    if not 0 <= k <= measures.PACK_LOG2:
         raise ValueError(f"k must lie in [0, {measures.PACK_LOG2}], 2**k "
                          f"digits packed per symbol, got {k}")
     lowest = k + 1 if mode == "filtration" else 0
@@ -377,14 +387,10 @@ def scaling_curve(mode: str, sampler, scales, eps_grid, samples: int,
     the sample of configurations w (plus digit values alpha in mode "z").
 
     Mode "d" averages the cut on w(0) over D_n.  Mode "z" averages it over
-    t adic steps and takes the max of two covering estimates: the plain
-    greedy estimate of the averaged metric itself (sharp at small scales,
-    saturating near log2(sample size)) and the block-additive estimate of
-    its phase-aligned form (tracks the effective dimension at large
-    scales).  Mode "filtration" estimates K_n[rho_k] on the reduced symbol
-    trees: levels with sigma_j = 0 make the two halves of the tree equal
-    and pass through the iteration exactly; levels with sigma_j = 1 are
-    split block-additively.
+    t adic steps and takes the max of its two `z_estimates`.  Mode
+    "filtration" estimates K_n[rho_k] on the reduced symbol trees: levels
+    with sigma_j = 0 make the two halves of the tree equal and pass through
+    the iteration exactly; levels with sigma_j = 1 are split block-additively.
     """
     from .filtration import _split_entropy_bits, reduce_symbols
     check_scales(mode, scales, samples, sampler.N, k)
@@ -400,11 +406,7 @@ def scaling_curve(mode: str, sampler, scales, eps_grid, samples: int,
         if mode == "d":
             bits = feature_entropy_bits(group_feature_metric(w, s), eps_grid)
         elif mode == "z":
-            direct = z_feature_metric(w, sample["alpha"], s)
-            aligned = z_aligned_metric(w, sample["alpha"], s)
-            bits = map(max,
-                       feature_entropy_bits(direct, eps_grid, block_dim=None),
-                       feature_entropy_bits(aligned, eps_grid))
+            bits = map(max, *z_estimates(w, sample["alpha"], s, eps_grid))
         else:
             sym = reduce_symbols(w, s, k)
             flags = [bool(f) for f in sigma_extend(sampler.sigma, s)[k:]]

@@ -4,11 +4,11 @@ An orbit tree of depth n lists the 2**n translates of a point by D_n,
 leaf at position mask g holding the translate by g; the dyadic hierarchy
 splits on the top mask bit, so the two children are the contiguous halves
 of the leaf array.  The Kantorovich iteration of a leaf semimetric is the
-cheapest hierarchy-preserving matching, computed by recursive child-swap
-minimization; for the discrete metric on a finite alphabet it becomes the
-orbit Hamming distance dist_m under the tree automorphism group, which
-`kantorovich_pairs` computes vectorized on integer mismatch counts, and
-`pairwise_dist_matrix` once per pair of canonical subtree codes.
+cheapest hierarchy-preserving matching, computed by one child-swap fold
+of the leaf costs (`child_swap`); for the discrete metric on a finite
+alphabet it becomes the orbit Hamming distance dist_m under the tree
+automorphism group, which `kantorovich_pairs` folds from integer mismatch
+counts, and `pairwise_dist_matrix` once per pair of canonical subtree codes.
 """
 
 from __future__ import annotations
@@ -43,25 +43,33 @@ class OrbitTree:
         return cls(n, [diag(g, x) for g in range(1 << n)])
 
 
+def child_swap(C: np.ndarray) -> np.ndarray:
+    """Root cost of the Kantorovich iteration on leaf costs C[..., i, j] of
+    shape (..., 2**m, 2**m): a pair of nodes costs the cheaper sum of its
+    children matched straight or crossed.  Root / 2**m is K_m, the double
+    that halving at every level gives, as halving is exact in binary."""
+    while C.shape[-1] > 1:
+        a, b = C[..., 0::2, :], C[..., 1::2, :]
+        C = np.minimum(a[..., 0::2] + b[..., 1::2], a[..., 1::2] + b[..., 0::2])
+    return C[..., 0, 0]
+
+
+def leaf_costs(rho: Semimetric, c1: OrbitTree, c2: OrbitTree) -> np.ndarray:
+    """rho between every leaf of c1 (rows) and every leaf of c2 (columns)."""
+    if c1.depth != c2.depth:
+        raise ValueError("depth mismatch")
+    return np.array([[rho.dist(x, y) for y in c2.leaves] for x in c1.leaves],
+                    dtype=float)
+
+
 def kantorovich(rho: Semimetric, c1: OrbitTree, c2: OrbitTree) -> float:
-    """K_n[rho]: recursive child-swap minimization.
+    """K_n[rho]: the child-swap fold of the leaf costs, over 2**n.
 
     Equals the min over all tree automorphisms of the average leaf distance
     because automorphisms factor into independent swaps per node (validated
     against the brute-force minimum for n <= 3).
     """
-    if c1.depth != c2.depth:
-        raise ValueError("depth mismatch")
-
-    def rec(a, b):
-        if len(a) == 1:
-            return rho.dist(a[0], b[0])
-        h = len(a) // 2
-        straight = rec(a[:h], b[:h]) + rec(a[h:], b[h:])
-        crossed = rec(a[:h], b[h:]) + rec(a[h:], b[:h])
-        return 0.5 * min(straight, crossed)
-
-    return rec(c1.leaves, c2.leaves)
+    return float(child_swap(leaf_costs(rho, c1, c2))) / (1 << c1.depth)
 
 
 def tree_automorphisms(n: int) -> list[np.ndarray]:
@@ -115,16 +123,13 @@ def dist_m(w1, w2) -> float:
 def kantorovich_pairs(sym1: np.ndarray, sym2: np.ndarray) -> np.ndarray:
     """dist_m between corresponding trees of two (..., 2**m) symbol arrays.
 
-    Child-swap DP from the leaves up: C[..., i, j] is the fewest mismatched
-    leaves in a matching of node i of one tree onto node j of the other.
-    Counts reach at most 2**m, and the root count / 2**m is exact.
+    `child_swap` of the leaf mismatches: the root count is the fewest
+    mismatched leaves in a hierarchy-preserving matching.  Counts reach at
+    most 2**m, and the root count / 2**m is exact.
     """
     L = sym1.shape[-1]
     C = (sym1[..., :, None] != sym2[..., None, :]).astype(np.min_scalar_type(L))
-    while C.shape[-1] > 1:
-        a, b = C[..., 0::2, :], C[..., 1::2, :]
-        C = np.minimum(a[..., 0::2] + b[..., 1::2], a[..., 1::2] + b[..., 0::2])
-    return C[..., 0, 0] / L
+    return child_swap(C) / L
 
 
 def pairwise_dist_matrix(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,9 +140,9 @@ def pairwise_dist_matrix(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the sorted pair of its children's codes, so two subtrees share a code
     iff a tree automorphism maps one onto the other (Aho, Hopcroft and
     Ullman).  T[u, v] is the fewest mismatched leaves between codes u and
-    v, from the child-swap step of `kantorovich_pairs` run once per pair of
-    codes: min(T[a, a'] + T[b, b'], T[a, b'] + T[b, a']) between (a, b)
-    and (a', b').  The root codes are the orbit classes, numbered by first
+    v, from the step of `child_swap` run once per pair of codes:
+    min(T[a, a'] + T[b, b'], T[a, b'] + T[b, a']) between (a, b) and
+    (a', b').  The root codes are the orbit classes, numbered by first
     occurrence, and the root table / 2**m is dist_m between them exactly.
     """
     rows, inv = np.unique(sym, axis=0, return_inverse=True)
@@ -338,17 +343,11 @@ def filtration_scaling(sigma, k: int, levels, eps: float = 0.25,
 # ---------------------------------------------------------------------------
 # pointwise Lipschitz bound (proof form of the 3-factor inequality)
 
-def all_pairs_average(rho: Semimetric, c1: OrbitTree, c2: OrbitTree) -> float:
-    n = 1 << c1.depth
-    return sum(rho.dist(x, y) for x in c1.leaves for y in c2.leaves) / (n * n)
-
-
 def lipschitz_bound_check(rho1: Semimetric, rho2: Semimetric,
                           rho_dom: Semimetric, c1: OrbitTree,
                           c2: OrbitTree) -> bool:
     """K_n[rho_2] <= K_n[rho_1] + 3 * (all-pairs average of the dominating
-    semimetric); exact inequality, no tolerance."""
-    k1 = kantorovich(rho1, c1, c2)
-    k2 = kantorovich(rho2, c1, c2)
-    bound = all_pairs_average(rho_dom, c1, c2)
-    return k2 <= k1 + 3 * bound + 1e-12
+    semimetric), an exact inequality checked with 1e-12 for float rounding."""
+    costs = leaf_costs(rho_dom, c1, c2).ravel().tolist()
+    return (kantorovich(rho2, c1, c2) <= kantorovich(rho1, c1, c2)
+            + 3 * (sum(costs) / len(costs)) + 1e-12)

@@ -113,8 +113,6 @@ class PathPrefix:
 def vertex_count(n: int, exhaustive: bool = False) -> int:
     """Number of vertices on floor n: 2**2**n."""
     if exhaustive:
-        if n > EXHAUSTIVE_DEPTH:
-            raise DepthError(f"exhaustive mode limited to depth {EXHAUSTIVE_DEPTH}")
         return len(set(v.label.tobytes() for v in iter_vertices(n)))
     return 1 << (1 << n)
 

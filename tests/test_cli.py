@@ -217,6 +217,8 @@ BAD_SCALES = [  # (command, flags, name the message must carry)
     ("scaling", ["--mode", "filtration", "--k", "-1"], "k must"),
     ("scaling", ["--mode", "filtration", "--k", "7", "--scales", "8 9"],
      "k must"),
+    ("scaling", ["--mode", "d", "--k", "99", "--scales", "2 3"], "k must"),
+    ("scaling", ["--mode", "z", "--k", "-5", "--scales", "2 4"], "k must"),
     ("scaling", ["--mode", "z", "--scales", "4 2097152"], "scale 2097152"),
     ("scaling", ["--mode", "z", "--scales", "0 4"], "scale 0"),
     ("entropy", ["--scale", "-1"], "scale -1"),
@@ -391,7 +393,7 @@ def _library_curve(mode, sigma, scales, n_samples):
         sigma, cli.DEFAULTS["scaling"]["k"], scales, 0.25, n_samples, 0)
 
 
-SRC_LINES_MAX = 2074  # src/ below the seed's 2128 lines; lower it as src/ shrinks
+SRC_LINES_MAX = 2073  # src/ below the seed's 2128 lines; lower it as src/ shrinks
 
 
 def test_src_line_count():

@@ -35,6 +35,25 @@ class Discrete(Semimetric):
         return float(x != y)
 
 
+class IntegerL1(Semimetric):
+    def dist(self, x, y):
+        return int(np.abs(np.asarray(x) - np.asarray(y)).sum())
+
+
+def recursive_kantorovich(rho, c1, c2):
+    """K_n[rho] by its definition: half the cheaper of the two children
+    pairings, straight or crossed, at every node."""
+    def rec(a, b):
+        if len(a) == 1:
+            return rho.dist(a[0], b[0])
+        h = len(a) // 2
+        straight = rec(a[:h], b[:h]) + rec(a[h:], b[h:])
+        crossed = rec(a[:h], b[h:]) + rec(a[h:], b[:h])
+        return 0.5 * min(straight, crossed)
+
+    return rec(c1.leaves, c2.leaves)
+
+
 def generic_dist_m(w1, w2):
     """dist_m by the generic recursion on the discrete leaf metric."""
     m = len(w1).bit_length() - 1
@@ -71,6 +90,22 @@ class TestKantorovich:
             dp = filtration.kantorovich(L1(), t1, t2)
             bf = filtration.kantorovich_bruteforce(L1(), t1, t2)
             assert abs(dp - bf) < 1e-12
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_fold_equals_recursion_exactly(self, n):
+        # halving is exact in binary, so the fold's one division by 2**n
+        # gives the recursion's double, at any leaf magnitude
+        rng = RNG(20 + n)
+        for _ in range(40 >> max(n - 2, 0)):
+            x = rng.random((2, 1 << n, 3)) * 10.0 ** rng.uniform(-8, 8)
+            t1, t2 = (filtration.OrbitTree(n, list(leaves)) for leaves in x)
+            rho = L1(rng.uniform(0.2, 2.0))
+            assert (filtration.kantorovich(rho, t1, t2)
+                    == recursive_kantorovich(rho, t1, t2))
+            y = rng.integers(0, 50, (2, 1 << n, 3))
+            i1, i2 = (filtration.OrbitTree(n, list(leaves)) for leaves in y)
+            assert (filtration.kantorovich(IntegerL1(), i1, i2)
+                    == recursive_kantorovich(IntegerL1(), i1, i2))
 
     def test_automorphism_count(self):
         assert len(filtration.tree_automorphisms(3)) == 128
@@ -588,3 +623,10 @@ class TestLipschitz:
         rng = RNG(10)
         t1, t2 = random_tree(rng, 2), random_tree(rng, 2)
         assert filtration.lipschitz_bound_check(L1(), L1(), L1(), t1, t2)
+
+    def test_depth_mismatch(self):
+        rng = RNG(11)
+        with pytest.raises(ValueError, match="depth mismatch"):
+            filtration.lipschitz_bound_check(L1(), L1(), L1(),
+                                             random_tree(rng, 1),
+                                             random_tree(rng, 2))
