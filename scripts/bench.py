@@ -17,6 +17,11 @@ and the result line of perfbench/run.py; and per workload and checkout the
 median of each metric over the runs.  A load1 near or above the core count
 marks a run made while other work shared the machine.
 
+With two or more checkouts the second is paired with the first by seed:
+per workload and metric, the file keeps under "paired" (and the script
+prints) the median of the per-seed ratios second / first, its inclusive
+quartiles, and the count of pairs in which the second reads lower.
+
 A checkout with cached bytecode skips compiling src/ at start-up, so
 checkouts that differ in it are not comparable on setup_s; the script warns
 on stderr when they do.
@@ -66,6 +71,30 @@ def bench(checkout, workload, seed) -> dict:
             "result": json.loads(result)}
 
 
+def paired(runs, first, second, workloads) -> dict:
+    """Per workload and metric, the per-seed ratios second / first: their
+    median and inclusive quartiles, and how many pairs read lower on the
+    second checkout."""
+    out = {}
+    for w in workloads:
+        metrics = {(r["checkout"], r["seed"]): r["result"]["metrics"]
+                   for r in runs if r["workload"] == w}
+        seeds = sorted({seed for name, seed in metrics if name == first})
+        out[w] = {}
+        for m in metrics[first, seeds[0]]:
+            pairs = [(metrics[first, s][m]["value"],
+                      metrics[second, s][m]["value"]) for s in seeds]
+            ratios = [b / a for a, b in pairs]
+            q1, q2, q3 = (statistics.quantiles(ratios, method="inclusive")
+                          if len(ratios) > 1 else ratios * 3)
+            out[w][m] = {"median": q2, "q1": q1, "q3": q3, "pairs": len(pairs),
+                         "lower": sum(b < a for a, b in pairs)}
+            print(f"{w} {m}: {second}/{first} median {q2:.3f} "
+                  f"[{q1:.3f}, {q3:.3f}], lower in {out[w][m]['lower']} of "
+                  f"{len(pairs)}")
+    return out
+
+
 def main():
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--tag", required=True)
@@ -95,11 +124,15 @@ def main():
                           for m in runs[0]["result"]["metrics"]}
                    for name, _ in checkouts}
                for w in args.workloads}
-    out = ROOT / f"BENCH_{args.tag}.json"
-    out.write_text(json.dumps({
+    record = {
         "tag": args.tag, "seconds": SECONDS, "checkouts": revisions,
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
-        "medians": medians, "runs": runs}, indent=1) + "\n")
+        "medians": medians}
+    if len(checkouts) > 1:
+        record["paired"] = paired(runs, checkouts[0][0], checkouts[1][0],
+                                  args.workloads)
+    out = ROOT / f"BENCH_{args.tag}.json"
+    out.write_text(json.dumps({**record, "runs": runs}, indent=1) + "\n")
     print(out)
 
 

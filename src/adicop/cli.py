@@ -76,8 +76,9 @@ def parse_eps_list(text: str) -> list[float]:
         eps_grid = [float(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
         raise UsageError(f"expected a list of numbers, got {text!r}")
-    if not eps_grid or not all(math.isfinite(e) and e > 0 for e in eps_grid):
-        raise UsageError(f"eps must be finite and positive, got {text!r}")
+    if (not eps_grid or len(set(eps_grid)) < len(eps_grid)
+            or not all(math.isfinite(e) and e > 0 for e in eps_grid)):
+        raise UsageError(f"eps must be distinct, finite and positive, got {text!r}")
     return eps_grid
 
 
@@ -198,12 +199,10 @@ def _check_kantorovich_oracle(seed=0):
 
 
 def _check_orbit_sizes():
-    m2 = filtration.max_orbit_size(2, 2)
-    if m2 != 4:
-        return f"maximal orbit size at m=2 is {m2}, expected 4"
-    m3 = filtration.max_orbit_size(3, 2)
-    if m3 > 2 * m2 * m2:
-        return f"orbit-size recursion bound violated: {m3} > {2 * m2 * m2}"
+    for m, want in enumerate((2, 4, 32, 2048), 1):
+        got = filtration.max_orbit_size(m, 2)
+        if got != want:
+            return f"maximal orbit size at m={m} is {got}, expected {want}"
     return None
 
 
@@ -252,8 +251,9 @@ def cmd_scaling(args, cfg) -> int:
     sigma = parse_sigma(args.sigma)
     scales = parse_int_list(args.scales)
     eps_grid = parse_eps_list(args.eps)
-    if len(scales) < 2:
-        raise UsageError(f"scaling needs at least 2 scales, got {len(scales)}")
+    if len(scales) < 2 or any(a >= b for a, b in zip(scales, scales[1:])):
+        raise UsageError("scaling needs at least 2 strictly increasing scales"
+                         f", got {args.scales!r}")
     curve = sharded_curve(args, sigma, scales, eps_grid, args.k)
     target = (sigma_target_z if args.mode == "z" else sigma_target_d)(
         sigma, scales)

@@ -52,14 +52,12 @@ def _max_uncovered(eps: float, n: int) -> int:
 
 
 def _cover_relation(D: np.ndarray, unit, eps: float, out) -> np.ndarray:
-    # the one radius rule: D / unit <= eps/2, with slack for float rounding;
+    # the one radius rule on integer counts D: D / unit <= eps/2, with
+    # slack for float rounding, decided by the integer floor of the bound;
     # entry [i, j] reads "i lies in the ball around j"; out may be None
     bound = unit * (eps / 2 + 1e-12)
-    if D.dtype.kind in "iu" and math.isfinite(bound):
-        # integer counts: the integer floor decides the same, without a
-        # float64 pass over D
-        bound = math.floor(bound)
-    return np.less_equal(D, bound, out=out)
+    return np.less_equal(D, math.floor(bound) if math.isfinite(bound)
+                         else bound, out=out)
 
 
 COVER_ROWS = 64  # rows of the relation summed at once when points get covered
@@ -128,7 +126,8 @@ def first_occurrence(keys: np.ndarray):
 def _cover_bits(D: np.ndarray, unit, counts: np.ndarray,
                 eps_grid) -> list[float]:
     """log2 of the greedy ball count at each eps, for distinct points with
-    multiplicities counts at distances D / unit.  D is used up: when its
+    multiplicities counts at distances D / unit, D integer counts (feature
+    blocks pass their weight, orbit tables 2**m).  D is used up: when its
     entries are bytes the last relation is written over it, so one eps
     takes one n x n array (two per feature block cost a growth-d pass 61k
     page faults, one costs it 7k)."""
@@ -388,9 +387,9 @@ def scaling_curve(mode: str, sampler, scales, eps_grid, samples: int,
 
     Mode "d" averages the cut on w(0) over D_n.  Mode "z" averages it over
     t adic steps and takes the max of its two `z_estimates`.  Mode
-    "filtration" estimates K_n[rho_k] on the reduced symbol trees: levels
-    with sigma_j = 0 make the two halves of the tree equal and pass through
-    the iteration exactly; levels with sigma_j = 1 are split block-additively.
+    "filtration" estimates K_n[rho_k] on the reduced symbol trees, which
+    pass through a level whose halves are equal in the sample and split the
+    others block-additively (`_split_entropy_bits`).
     """
     from .filtration import _split_entropy_bits, reduce_symbols
     check_scales(mode, scales, samples, sampler.N, k)
@@ -408,9 +407,7 @@ def scaling_curve(mode: str, sampler, scales, eps_grid, samples: int,
         elif mode == "z":
             bits = map(max, *z_estimates(w, sample["alpha"], s, eps_grid))
         else:
-            sym = reduce_symbols(w, s, k)
-            flags = [bool(f) for f in sigma_extend(sampler.sigma, s)[k:]]
-            bits = _split_entropy_bits(sym, flags, eps_grid, memo)
+            bits = _split_entropy_bits(reduce_symbols(w, s, k), eps_grid, memo)
         for eps, b in zip(eps_grid, bits):
             curve.add(s, eps, b, samples, seed)
     return curve

@@ -7,8 +7,10 @@ of the leaf array.  The Kantorovich iteration of a leaf semimetric is the
 cheapest hierarchy-preserving matching, computed by one child-swap fold
 of the leaf costs (`child_swap`); for the discrete metric on a finite
 alphabet it becomes the orbit Hamming distance dist_m under the tree
-automorphism group, which `kantorovich_pairs` folds from integer mismatch
-counts, and `pairwise_dist_matrix` once per pair of canonical subtree codes.
+automorphism group.  `kantorovich_pairs` folds it from leaf mismatches and
+`pairwise_dist_matrix` once per pair of canonical subtree codes; both
+return the integer count of mismatched leaves, dist_m times 2**m, which
+the covering estimator reads with unit 2**m as it reads feature counts.
 """
 
 from __future__ import annotations
@@ -109,32 +111,32 @@ def kantorovich_bruteforce(rho: Semimetric, c1: OrbitTree, c2: OrbitTree) -> flo
 
 def dist_m(w1, w2) -> float:
     """Orbit Hamming distance: fraction of mismatched leaves under the best
-    tree automorphism, the `kantorovich_pairs` kernel on one pair.
-    Arguments are leaf symbol sequences of the same length 2**m."""
+    tree automorphism, the `kantorovich_pairs` count on one pair over 2**m
+    (exact in binary).  Arguments are leaf symbol sequences of the same
+    length 2**m."""
     w1, w2 = np.asarray(w1), np.asarray(w2)
     L = len(w1)
     if len(w2) != L:
         raise ValueError("leaf counts differ")
     if L < 1 or L & (L - 1):
         raise ValueError("leaf count must be 2**depth")
-    return float(kantorovich_pairs(w1, w2))
+    return int(kantorovich_pairs(w1, w2)) / L
 
 
 def kantorovich_pairs(sym1: np.ndarray, sym2: np.ndarray) -> np.ndarray:
-    """dist_m between corresponding trees of two (..., 2**m) symbol arrays.
-
-    `child_swap` of the leaf mismatches: the root count is the fewest
-    mismatched leaves in a hierarchy-preserving matching.  Counts reach at
-    most 2**m, and the root count / 2**m is exact.
+    """dist_m * 2**m between corresponding trees of two (..., 2**m) symbol
+    arrays: `child_swap` of the leaf mismatches, the fewest mismatched
+    leaves in a hierarchy-preserving matching, of dtype
+    min_scalar_type(2**m), as counts reach at most 2**m.
     """
     L = sym1.shape[-1]
     C = (sym1[..., :, None] != sym2[..., None, :]).astype(np.min_scalar_type(L))
-    return child_swap(C) / L
+    return child_swap(C)
 
 
 def pairwise_dist_matrix(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """dist_m table between the orbit classes of the rows of a (S, 2**m)
-    array, and the class of every row.
+    """dist_m * 2**m table between the orbit classes of the rows of a
+    (S, 2**m) array, and the class of every row.
 
     Level 0 codes the symbols, and a node's code one level up is the id of
     the sorted pair of its children's codes, so two subtrees share a code
@@ -143,7 +145,8 @@ def pairwise_dist_matrix(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v, from the step of `child_swap` run once per pair of codes:
     min(T[a, a'] + T[b, b'], T[a, b'] + T[b, a']) between (a, b) and
     (a', b').  The root codes are the orbit classes, numbered by first
-    occurrence, and the root table / 2**m is dist_m between them exactly.
+    occurrence; the root table holds the `kantorovich_pairs` counts
+    between them, of its dtype.
     """
     rows, inv = np.unique(sym, axis=0, return_inverse=True)
     symbols, codes = np.unique(rows, return_inverse=True)
@@ -164,7 +167,7 @@ def pairwise_dist_matrix(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.minimum(T, cross, out=T)
     root = codes[inv, 0]
     first, labels, _ = first_occurrence(root)
-    return T[np.ix_(root[first], root[first])] / L, labels
+    return T[np.ix_(root[first], root[first])], labels
 
 
 # ---------------------------------------------------------------------------
@@ -239,36 +242,34 @@ def lemma17_entropy_exact(m: int, r: int, q: int, eps: float) -> float:
 TERMINAL_DEPTH = 3
 
 
-def _split_entropy_bits(sym: np.ndarray, split_flags, eps_grid, memo: dict,
+def _split_entropy_bits(sym: np.ndarray, eps_grid, memo: dict,
                         offset: int = 0) -> tuple[float, ...]:
     """Block-additive covering estimates on symbol trees, one per eps.
 
-    split_flags[j] tells whether the level splitting on generator bit j is
-    informative: at uninformative levels the two halves are identical and
-    the iteration passes through them exactly; informative levels are
-    treated as independent blocks and their estimates added (growth-class
-    surrogate).  Depth <= TERMINAL_DEPTH instances greedily cover their
-    orbit classes, weighted by row counts, by the exact Kantorovich values,
+    A node whose two halves are equal in every row passes through to the
+    first half, as the iteration does exactly (under m^sigma, at every
+    level with sigma_j = 0); otherwise both halves are estimated as
+    independent blocks and their estimates added (growth-class surrogate).
+    Depth <= TERMINAL_DEPTH instances greedily cover their orbit classes,
+    weighted by row counts, by the exact mismatch counts with unit 2**m,
     kept in memo by (column offset, depth): one memo serves one eps grid
     and arrays that extend one another by columns, as the reduced arrays
     of one curve do.
     """
-    m = sym.shape[1].bit_length() - 1
+    L = sym.shape[1]
+    m = L.bit_length() - 1
     if m <= TERMINAL_DEPTH:
         if (offset, m) not in memo:
             table, labels = pairwise_dist_matrix(sym)
-            memo[offset, m] = tuple(_cover_bits(table, 1, np.bincount(labels),
+            memo[offset, m] = tuple(_cover_bits(table, L, np.bincount(labels),
                                                 eps_grid))
         return memo[offset, m]
-    h = 1 << (m - 1)
+    h = L // 2
     first, second = sym[:, :h], sym[:, h:]
-    if not split_flags[m - 1]:
-        if not np.array_equal(first, second):
-            raise ValueError("level flagged as degenerate but halves differ")
-        return _split_entropy_bits(first, split_flags, eps_grid, memo, offset)
-    left = _split_entropy_bits(first, split_flags, eps_grid, memo, offset)
-    right = _split_entropy_bits(second, split_flags, eps_grid, memo,
-                                offset + h)
+    if np.array_equal(first, second):
+        return _split_entropy_bits(first, eps_grid, memo, offset)
+    left = _split_entropy_bits(first, eps_grid, memo, offset)
+    right = _split_entropy_bits(second, eps_grid, memo, offset + h)
     return tuple(a + b for a, b in zip(left, right))
 
 
@@ -282,8 +283,7 @@ def lemma17_entropy_estimate(m: int, r: int, q: int, eps: float,
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     base = np.random.default_rng(seed).integers(0, q, (n_samples, 1 << (m - r)))
     sym = np.repeat(base, 1 << r, axis=1)
-    flags = [j >= r for j in range(m)]
-    return _split_entropy_bits(sym, flags, (eps,), {})[0]
+    return _split_entropy_bits(sym, (eps,), {})[0]
 
 
 # ---------------------------------------------------------------------------

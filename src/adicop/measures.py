@@ -181,8 +181,8 @@ EIGEN_DEPTH = 4
 
 
 def check_eigen_consistency(base, levels: OdometerLevels, rng) -> None:
-    """Level sets must carry mass about 2**-n (4 binomial sigma) and the
-    shift must advance the level by one."""
+    """Each level set of depth n <= EIGEN_DEPTH must carry mass about 2**-n
+    (4 binomial sigma) in EIGEN_PROBES draws; only the masses are checked."""
     d = base.draw(EIGEN_PROBES, 0, 1, rng)
     for n in range(1, EIGEN_DEPTH + 1):
         r = levels.level(d, n)

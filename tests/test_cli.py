@@ -99,6 +99,18 @@ class TestOraclePower:
         assert "Traceback" not in capsys.readouterr().err
 
 
+class TestOracleOrbitSizes:
+    def test_inexact_size_fails(self, monkeypatch, tmp_path, capsys):
+        # 16 at m = 3 keeps within the wreath bound 2 * 4 * 4, but the
+        # exact maximal orbit has 32 trees
+        exact = filtration.max_orbit_size
+        monkeypatch.setattr(filtration, "max_orbit_size",
+                            lambda m, q: 16 if m == 3 else exact(m, q))
+        out = tmp_path / "oracle.json"
+        assert run(["oracle", "--depth", "0", "--out", str(out)]) == 1
+        assert set(json.loads(out.read_text())["failures"]) == {"orbit-sizes"}
+
+
 class TestOracleCost:
     def test_group_diagram_rechecks_no_digits(self, monkeypatch):
         # kappa, psi and diag act on packed digit values: the 16384
@@ -162,7 +174,7 @@ class TestScaling:
                     "--scales", "3 5"]) == 2
 
 
-BAD_EPS = ["0", "-1", "-0.25", "nan", "inf", "0.25 0", ""]
+BAD_EPS = ["0", "-1", "-0.25", "nan", "inf", "0.25 0", "", "0.25 0.25"]
 
 
 def _no_draws(monkeypatch):
@@ -211,6 +223,11 @@ BAD_SCALES = [  # (command, flags, name the message must carry)
     ("scaling", ["--scales", "4"], "scales"),
     ("scaling", ["--scales", ""], "scales"),
     ("scaling", ["--scales", "-1 3"], "scale -1"),
+    # a constant or falling list would read as a flat, passing curve
+    ("scaling", ["--mode", "d", "--sigma", "1", "--scales", "2 2 2",
+                 "--samples", "30"], "scales"),
+    ("scaling", ["--mode", "d", "--sigma", "1", "--scales", "5 4 3",
+                 "--samples", "30"], "scales"),
     ("scaling", ["--scales", "3 21"], "scale 21"),
     ("scaling", ["--mode", "filtration", "--scales", "3 21"], "scale 21"),
     ("scaling", ["--mode", "filtration", "--scales", "1 3"], "scale 1"),
@@ -393,7 +410,7 @@ def _library_curve(mode, sigma, scales, n_samples):
         sigma, cli.DEFAULTS["scaling"]["k"], scales, 0.25, n_samples, 0)
 
 
-SRC_LINES_MAX = 2073  # src/ below the seed's 2128 lines; lower it as src/ shrinks
+SRC_LINES_MAX = 2070  # src/ below the seed's 2128 lines; lower it as src/ shrinks
 
 
 def test_src_line_count():
@@ -590,6 +607,53 @@ class TestBenchScript:
         bench.warn_bytecode({name: {"cached_bytecode": f} for name, f
                              in zip(("parent", "change"), flags)})
         assert ("cached bytecode" in capsys.readouterr().err) == warned
+
+    def test_paired_ratios(self, monkeypatch, tmp_path, capsys):
+        # change / parent per seed: wall_s reads 0.5, 1.0 and 2.0 times
+        # the parent's over seeds 3, 1 and 2, cpu_s always 0.9 times
+        bench = _script("bench")
+        ratio = {1: 1.0, 2: 2.0, 3: 0.5}
+
+        def fake_bench(path, workload, seed):
+            scale = ratio[seed] if path == "c" else 1.0
+            return {"load1": 0.1, "details": {}, "result": {
+                "correct": True, "metrics": {
+                "wall_s": {"value": 0.2 * scale},
+                "cpu_s": {"value": 0.3 * (0.9 if path == "c" else 1.0)}}}}
+
+        monkeypatch.setattr(bench, "bench", fake_bench)
+        monkeypatch.setattr(bench, "git", lambda *args: "rev")
+        monkeypatch.setattr(bench, "cached_bytecode", lambda path: False)
+        monkeypatch.setattr(bench, "ROOT", tmp_path)
+        monkeypatch.setattr(sys, "argv", [
+            "bench.py", "--tag", "t", "--workloads", "growth-d", "growth-z",
+            "--seeds", "3", "1", "2", "--checkout", "parent=p",
+            "--checkout", "change=c"])
+        bench.main()
+        paired = json.loads((tmp_path / "BENCH_t.json").read_text())["paired"]
+        assert set(paired) == {"growth-d", "growth-z"}
+        wall, cpu = paired["growth-d"]["wall_s"], paired["growth-z"]["cpu_s"]
+        assert wall == {"median": 1.0, "q1": 0.75, "q3": 1.5, "pairs": 3,
+                        "lower": 1}
+        assert cpu["median"] == pytest.approx(0.9) and cpu["lower"] == 3
+        out = capsys.readouterr().out
+        assert "growth-d wall_s: change/parent median 1.000 [0.750, 1.500]" \
+            ", lower in 1 of 3" in out
+
+    def test_no_pairs_with_one_checkout(self, monkeypatch, tmp_path, capsys):
+        bench = _script("bench")
+        monkeypatch.setattr(bench, "bench", lambda *args: {
+            "load1": 0.1, "details": {},
+            "result": {"correct": True, "metrics": {"wall_s": {"value": 0.2}}}})
+        monkeypatch.setattr(bench, "git", lambda *args: "rev")
+        monkeypatch.setattr(bench, "cached_bytecode", lambda path: False)
+        monkeypatch.setattr(bench, "ROOT", tmp_path)
+        monkeypatch.setattr(sys, "argv", [
+            "bench.py", "--tag", "t", "--workloads", "growth-d",
+            "--seeds", "0"])
+        bench.main()
+        assert "paired" not in json.loads(
+            (tmp_path / "BENCH_t.json").read_text())
 
     def test_records_the_load_before_each_run(self):
         bench = _script("bench")

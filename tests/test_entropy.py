@@ -196,9 +196,11 @@ def greedy(cover, eps):
     return entropy.greedy_cover_count(cover, eps, units(len(cover)))
 
 
-def cover_bits(D, eps):
-    """log2 of the greedy count under the library's radius rule."""
-    return math.log2(greedy(entropy._cover_relation(D, 1, eps, None), eps))
+def cover_bits(counts, unit, eps):
+    """log2 of the greedy count under the library's radius rule, at
+    distances counts / unit."""
+    return math.log2(greedy(entropy._cover_relation(counts, unit, eps, None),
+                            eps))
 
 
 EXACT_COVER_LIMIT = 24
@@ -265,11 +267,14 @@ class TestCovering:
         assert exact_cover_count(D, eps) == 2
 
     def test_radius_rule_absorbs_float_rounding(self):
-        # 0.1 + 0.2 exceeds 0.3 by one ulp; the rule's 1e-12 slack keeps
-        # such distances inside a ball of radius 0.3
-        D = np.full((10, 10), 0.1 + 0.2)
-        np.fill_diagonal(D, 0.0)
-        assert cover_bits(D, 0.6) == 0.0
+        # 0.7 - 0.4 falls one ulp short of 0.3, so 10 * eps/2 reads
+        # 2.999...; the rule's 1e-12 slack keeps a count of 3 at unit 10,
+        # distance 0.3, inside a ball of radius 0.3
+        eps = 2 * (0.7 - 0.4)
+        assert 10 * (eps / 2) < 3
+        D = np.full((10, 10), 3, dtype=np.uint8)
+        np.fill_diagonal(D, 0)
+        assert cover_bits(D, 10, eps) == 0.0
 
     @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
     def test_greedy_refuses_non_bool(self, dtype):
@@ -277,12 +282,14 @@ class TestCovering:
             entropy.greedy_cover_count(np.zeros((5, 5), dtype), 0.25, units(5))
 
     def test_monotone_in_eps(self):
-        # Lemma-10-style monotonicity: entropy non-increasing in eps
+        # Lemma-10-style monotonicity: entropy non-increasing in eps, on
+        # L1 counts between points of {0..7}^3 at unit 21, the diameter
         rng = RNG(4)
-        pts = rng.random((60, 3))
+        pts = rng.integers(0, 8, (60, 3))
         D = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)
-        bits = [cover_bits(D, e) for e in (0.1, 0.25, 0.5, 1.0)]
+        bits = [cover_bits(D, 21, e) for e in (0.1, 0.25, 0.5, 1.0)]
         assert all(a >= b for a, b in zip(bits, bits[1:]))
+        assert bits[0] > bits[2] > 0
 
 
 def reference_greedy(D, eps):
@@ -556,10 +563,13 @@ class TestWeightedCover:
     @settings(max_examples=100, deadline=None)
     @given(orbit_instances(), st.sampled_from([0.5, 0.25, 0.1]))
     def test_filtration_orbit_tables(self, sym, eps):
+        # mismatch counts at unit 2**m against the float layer on dist_m
         table, labels = filtration.pairwise_dist_matrix(sym)
-        cover = entropy._cover_relation(table, 1, eps, None)
+        unit = sym.shape[1]
+        cover = entropy._cover_relation(table, unit, eps, None)
         i, j = np.indices((len(sym),) * 2)
-        D = filtration.kantorovich_pairs(sym[i], sym[j])
+        D = filtration.kantorovich_pairs(sym[i], sym[j]) / unit
+        assert np.array_equal(cover[np.ix_(labels, labels)], within(D, eps))
         assert entropy.greedy_cover_count(cover, eps, np.bincount(labels)) \
             == reference_greedy(D, eps)
 

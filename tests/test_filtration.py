@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adicop import filtration, measures
-from adicop.dyadic import sigma_extend
 from adicop.entropy import (Semimetric, _max_uncovered, asymp_compare,
                             curve_sampler)
 
@@ -189,7 +188,8 @@ class TestDistM:
         assert np.all(np.diag(D) == 0) and np.array_equal(D, D.T)
         for i in range(10):
             for j in range(i + 1, 10):
-                assert D[i, j] == generic_dist_m(list(sym[i]), list(sym[j]))
+                assert D[i, j] / 8 == generic_dist_m(list(sym[i]),
+                                                     list(sym[j]))
 
     def test_repeated_rows_match_all_pairs(self):
         # rows drawn from a pool of six repeat, as sampled symbol trees do;
@@ -197,7 +197,7 @@ class TestDistM:
         rng = RNG(12)
         sym = rng.integers(0, 2, (6, 8))[rng.integers(0, 6, 40)]
         iu, ju = np.triu_indices(40, k=1)
-        brute = np.zeros((40, 40))
+        brute = np.zeros((40, 40), dtype=np.uint8)
         brute[iu, ju] = brute[ju, iu] = filtration.kantorovich_pairs(
             sym[iu], sym[ju])
         assert np.array_equal(expanded_dist(sym), brute)
@@ -243,7 +243,8 @@ class TestDistM:
     def test_kernel_matches_generic_recursion(self):
         # random pairs, near-automorphic pairs (an automorphism image with
         # a few leaves redrawn) and pairs with no common symbol, at every
-        # depth up to 8, where the count 2**m first needs uint16
+        # depth up to 8, where the count 2**m first needs uint16; the
+        # kernel counts mismatched leaves, dist_m * 2**m
         rng = RNG(11)
         for m in range(9):
             for q in range(2, 6):
@@ -258,11 +259,14 @@ class TestDistM:
                 want = [generic_dist_m(list(a), list(b)) for a, b in pairs]
                 assert [filtration.dist_m(a, b) for a, b in pairs] == want
                 sym1, sym2 = (np.array(side) for side in zip(*pairs))
-                assert filtration.kantorovich_pairs(sym1, sym2).tolist() == want
+                got = filtration.kantorovich_pairs(sym1, sym2)
+                assert got.dtype == np.min_scalar_type(1 << m)
+                assert (got / (1 << m)).tolist() == want
                 # leading axes carry over: (2, 3, 2**m) gives (2, 3)
                 got = filtration.kantorovich_pairs(sym1.reshape(2, 3, -1),
                                                    sym2.reshape(2, 3, -1))
-                assert got.tolist() == np.reshape(want, (2, 3)).tolist()
+                assert (got / (1 << m)).tolist() == \
+                    np.reshape(want, (2, 3)).tolist()
 
     @pytest.mark.parametrize("w1,w2", [
         ([], []), ([0, 1, 2], [0, 1, 2]), ([0, 1, 1, 0, 1, 0], [0] * 6),
@@ -503,6 +507,44 @@ class TestLemma17:
             assert lo <= round(2 ** bits) <= hi
 
 
+class TestSplitEntropy:
+    # the estimator reads its degenerate levels from the sample: a node
+    # whose halves agree in every row is its first half, any other node
+    # the sum of its halves
+    GRID = (0.5, 0.25, 0.1)
+
+    def bits(self, sym):
+        return filtration._split_entropy_bits(sym, self.GRID, {})
+
+    def test_equal_halves_give_the_half(self):
+        half = RNG(15).integers(0, 4, (80, 16))
+        assert self.bits(half)[-1] > 0
+        assert self.bits(np.hstack([half, half])) == self.bits(half)
+
+    def test_unequal_halves_give_the_sum(self):
+        a, b = RNG(16).integers(0, 4, (2, 80, 16))
+        b[0] = a[0] + 1  # halves differ in one row only
+        b[1:] = a[1:]
+        want = tuple(x + y for x, y in zip(self.bits(a), self.bits(b)))
+        assert self.bits(np.hstack([a, b])) == want
+        assert want != self.bits(a)
+
+    def test_sigma_one_level_with_equal_halves_passes_through(self):
+        # sigma_4 = 1, but every row drawn repeats its first 16 digits
+        class Mirrored(measures.MSigmaSampler):
+            def draw_w(self, n, rng):
+                w = super().draw_w(n, rng)
+                w[:, 16:] = w[:, :16]
+                return w
+
+        sampler = Mirrored((1,) * 5, 5)
+        assert sampler.sigma[4] == 1
+        curve = filtration.scaling_curve("filtration", sampler, [4, 5],
+                                         self.GRID, 64, 0, 1)
+        assert curve.bits()[:3] == curve.bits()[3:]
+        assert min(curve.bits()) > 0
+
+
 class TestReduction:
     def test_reduced_equals_generic(self):
         rng = RNG(7)
@@ -591,9 +633,8 @@ class TestScalingCurve:
         sampler = curve_sampler("filtration", sigma, levels, 64, 1)
         w = measures.draw_sharded(sampler, 64, 0, 1)["w"]
         for s, eps, bits, *_ in curve.rows:
-            flags = [bool(f) for f in sigma_extend(sigma, s)[1:]]
             assert (bits,) == filtration._split_entropy_bits(
-                filtration.reduce_symbols(w, s, 1), flags, (eps,), {})
+                filtration.reduce_symbols(w, s, 1), (eps,), {})
 
     def test_level_must_exceed_cut(self):
         with pytest.raises(ValueError):
