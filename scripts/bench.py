@@ -2,20 +2,23 @@
 """Run the benchmark and keep its result lines as BENCH_<tag>.json.
 
     python3 scripts/bench.py --tag TAG --workloads W [W ...] --seeds N [N ...]
-                             [--checkout NAME=DIR ...]
+                             [--checkout NAME=DIR ...] [--trace {0,1}]
 
-Each run is `perfbench/run.py --workload W --seed N --seconds S --trace 0`
+Each run is `perfbench/run.py --workload W --seed N --seconds S --trace T`
 started in a checkout (by default this one), with S the `run_seconds` of
-BENCHMARK.json.  With several checkouts, say a parent commit and a change,
-each (seed, workload) runs once in every checkout, in an order that
-alternates from one seed to the next.  The file holds, per checkout, its
-git commit, the git tree of its src/, whether it had uncommitted changes
-and whether cached bytecode (*.pyc) lay under its src/; the value of
-PYTHONDONTWRITEBYTECODE; per run, the checkout, workload and seed, the
-1-minute load average just before the run (`load1`), and the details line
-and the result line of perfbench/run.py; and per workload and checkout the
-median of each metric over the runs.  A load1 near or above the core count
-marks a run made while other work shared the machine.
+BENCHMARK.json and T the --trace flag (default 0): with 0 the metrics are
+the end-to-end ones, with 1 the per-layer ones, such as
+entropy.greedy_cover.s.  With several checkouts, say a parent commit and a
+change, each (seed, workload) runs once in every checkout, in an order
+that alternates from one seed to the next.  The file holds the --trace
+flag; per checkout, its git commit, the git tree of its src/, whether it
+had uncommitted changes and whether cached bytecode (*.pyc) lay under its
+src/; the value of PYTHONDONTWRITEBYTECODE; per run, the checkout,
+workload and seed, the 1-minute load average just before the run
+(`load1`), and the details line and the result line of perfbench/run.py;
+and per workload and checkout the median of each metric over the runs.  A
+load1 near or above the core count marks a run made while other work
+shared the machine.
 
 With two or more checkouts the second is paired with the first by seed:
 per workload and metric, the file keeps under "paired" (and the script
@@ -59,12 +62,13 @@ def warn_bytecode(revisions):
               file=sys.stderr)
 
 
-def bench(checkout, workload, seed) -> dict:
+def bench(checkout, workload, seed, trace) -> dict:
     """One run's record: the load before it, its details and result lines."""
     load1 = os.getloadavg()[0]
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(SECONDS),
+         "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True)
     details, result = proc.stdout.splitlines()[-2:]
     return {"load1": load1, "details": json.loads(details),
@@ -101,6 +105,7 @@ def main():
     p.add_argument("--workloads", nargs="+", required=True)
     p.add_argument("--seeds", nargs="+", type=int, required=True)
     p.add_argument("--checkout", action="append", metavar="NAME=DIR")
+    p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = p.parse_args()
     checkouts = [c.split("=", 1) for c in args.checkout or [f"this={ROOT}"]]
     revisions = {name: {"commit": git(path, "rev-parse", "HEAD"),
@@ -114,7 +119,7 @@ def main():
         for workload in args.workloads:
             for name, path in checkouts[::-1] if i % 2 else checkouts:
                 run = {"checkout": name, "workload": workload, "seed": seed,
-                       **bench(path, workload, seed)}
+                       **bench(path, workload, seed, args.trace)}
                 runs.append(run)
                 print(f"{workload} seed {seed} {name}: correct "
                       f"{run['result']['correct']}", file=sys.stderr)
@@ -125,7 +130,8 @@ def main():
                    for name, _ in checkouts}
                for w in args.workloads}
     record = {
-        "tag": args.tag, "seconds": SECONDS, "checkouts": revisions,
+        "tag": args.tag, "seconds": SECONDS, "trace": args.trace,
+        "checkouts": revisions,
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "medians": medians}
     if len(checkouts) > 1:

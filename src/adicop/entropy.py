@@ -8,8 +8,13 @@ point weighted by their count, numbered by first occurrence.  Balls are
 the columns of a symmetric bool cover relation: cover[i, j] reads "point i
 lies in the ball around j".  Ball gains are count-weighted column sums,
 kept incrementally as in accelerated greedy (Minoux 1978): O(n^2) per
-cover instead of O(balls * n^2), with the same counts as plain greedy.
-On a reflexive relation it stops, exactly, once the best gain is 1.
+cover instead of O(balls * n^2).  Gains only fall, and a shared uncovered
+point lowers a gain by its count, at least 1.  So the balls plain greedy
+(argmax, earliest index) takes at a best gain g are the lexicographically
+first maximal independent set of the balls tied at g, two balls conflicting
+when they share an uncovered point (Blelloch, Fineman and Shun 2012), and
+one step takes a run of them: the counts are plain greedy's.  On a
+reflexive relation it stops, exactly, once the best gain is 1.
 
 Averaged cut semimetrics are weighted Hamming distances over a binary
 feature matrix with integer column multiplicities, counted by XOR and
@@ -60,7 +65,7 @@ def _cover_relation(D: np.ndarray, unit, eps: float, out) -> np.ndarray:
                          else bound, out=out)
 
 
-COVER_ROWS = 64  # rows of the relation summed at once when points get covered
+COVER_ROWS = 64  # relation rows gathered or summed at once
 
 
 def greedy_cover_count(cover: np.ndarray, eps: float, counts: np.ndarray) -> int:
@@ -69,21 +74,26 @@ def greedy_cover_count(cover: np.ndarray, eps: float, counts: np.ndarray) -> int
     fraction of it is left; point i was drawn counts[i] >= 1 times.
 
     cover[i, j] is the bool relation "i lies in the ball around j"; it must
-    be reflexive (ValueError otherwise) and symmetric, because a chosen
-    ball's members are read from the contiguous row cover[c].  gains[j],
-    the uncovered weight in ball j, is a column sum, less the rows of newly
-    covered points (COVER_ROWS at a time) and count - 1 more times the row
-    of each point with copies; no n x n copy is made.  Copies would share a
-    column and argmax takes the earliest index, so with points numbered by
-    first occurrence the balls are those of plain greedy on the sample with
-    every copy listed.  At a best gain of 1 each uncovered point has weight
-    1 and shares no ball (it lies in its own), so plain greedy would go on
-    one unit per ball: the count is known and returned.
+    be reflexive and symmetric, as ball j's members are read from its row.
+    gains[j], the uncovered weight in ball j, is a column sum plus count - 1
+    more times the row of each point with copies, less the rows of newly
+    covered points (COVER_ROWS at a time); no n x n copy is made.  A step
+    scans the first COVER_ROWS balls tied at the best gain, in index order
+    and packed into int bitsets, and takes each that shares no uncovered
+    point with one taken before it.  Copies would share a column, so with
+    points numbered by first occurrence the balls are those of plain greedy
+    on the sample with every copy listed.  At a best gain of 1 each
+    uncovered point has weight 1 and lies in its own ball, so plain greedy
+    would go on one unit per ball: the count is returned.  Bad counts, eps
+    or diagonals raise ValueError.
     """
     if cover.dtype != bool:
         raise TypeError(f"cover must be a bool relation, got {cover.dtype}")
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and positive, got {eps!r}")
+    if not (isinstance(counts, np.ndarray) and counts.dtype.kind in "iu"
+            and counts.shape == cover.shape[:1] and (counts >= 1).all()):
+        raise ValueError("counts must be one integer >= 1 per point")
     if not cover.diagonal().all():
         raise ValueError("uncovered points lie in no ball")
     total = int(counts.sum())
@@ -96,20 +106,28 @@ def greedy_cover_count(cover: np.ndarray, eps: float, counts: np.ndarray) -> int
         return out
 
     gains = add_copies(np.arange(len(cover)), cover.sum(axis=0, dtype=dt))
-    uncovered = np.ones(len(cover), dtype=bool)
-    left, allow = total, _max_uncovered(eps, total)
-    balls = 0
+    width = (len(cover) + 7) // 8  # bytes of a packed row
+    uncovered = (1 << 8 * width) - 1  # point i is bit 8 * width - 1 - i
+    left, allow, balls = total, _max_uncovered(eps, total), 0
     while left > allow:
-        c = int(np.argmax(gains))
-        if gains[c] == 1:  # each further ball covers one unit
+        g = int(gains.max())
+        if g == 1:  # each further ball covers one unit
             return balls + left - allow
-        new = np.flatnonzero(cover[c] & uncovered)
-        uncovered[new] = False
-        left -= int(gains[c])
+        packed = np.packbits(cover[np.flatnonzero(gains == g)[:COVER_ROWS]],
+                             axis=1).tobytes()
+        taken = 0  # points in the balls taken at this step
+        for s in range(0, len(packed), width):
+            ball = int.from_bytes(packed[s:s + width]) & uncovered
+            if not ball & taken:
+                taken, left, balls = taken | ball, left - g, balls + 1
+                if left <= allow:
+                    break
+        uncovered ^= taken
+        new = np.flatnonzero(np.unpackbits(np.frombuffer(
+            taken.to_bytes(width), np.uint8), count=len(cover)).view(bool))
         for s in range(0, len(new), COVER_ROWS):
             rows = new[s:s + COVER_ROWS]
             gains -= add_copies(rows, cover[rows].sum(axis=0, dtype=dt))
-        balls += 1
     return max(balls, 1)
 
 

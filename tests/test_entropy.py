@@ -339,6 +339,24 @@ def cover_instances(draw, max_n):
     return D[np.ix_(rows, rows)], draw(st.sampled_from([0.1, 0.25, 0.5, 1.0]))
 
 
+@st.composite
+def tied_instances(draw):
+    """Point sets with long runs of tied gains: a small integer grid under
+    normalized L1, or few-bit normalized Hamming; points are drawn with
+    replacement and listed 1-3 times each, in a random order."""
+    rng = RNG(draw(st.integers(0, 2 ** 32 - 1)))
+    k = draw(st.integers(1, 150))
+    if draw(st.booleans()):
+        side, dim = draw(st.integers(2, 6)), draw(st.integers(1, 3))
+        X = rng.integers(0, side, (k, dim))
+        D = np.abs(X[:, None, :] - X[None, :, :]).sum(axis=2) / (dim * side)
+    else:
+        X = rng.integers(0, 2, (k, draw(st.integers(1, 8))))
+        D = (X[:, None, :] != X[None, :, :]).mean(axis=2)
+    rows = rng.permutation(np.repeat(np.arange(k), rng.integers(1, 4, k)))
+    return D[np.ix_(rows, rows)], draw(st.sampled_from([0.1, 0.25, 0.5]))
+
+
 class TestGreedyIncremental:
     @settings(max_examples=150, deadline=None)
     @given(cover_instances(200))
@@ -412,6 +430,65 @@ class TestGreedyIncremental:
         assert self.best_gains(cover, counts, [1, 3, 4]) == [3, 2, 1]
         assert entropy.greedy_cover_count(cover, 0.1, counts) == \
             reference_greedy(D[np.ix_(rows, rows)], 0.1) == 6
+
+    @pytest.mark.parametrize("counts", [
+        np.array([0, 1, 1]), np.array([1, 1, 1, 1]), np.array([2, -1, 1]),
+        np.ones(3), np.ones((1, 3), int), [1, 1, 1]],
+        ids=["zero", "too-long", "negative", "float", "2-d", "list"])
+    def test_rejects_bad_counts(self, counts):
+        # every point was drawn at least once: a count below 1, a count per
+        # point missing or extra, or counts not in an integer array are
+        # refused before any ball is counted
+        with pytest.raises(ValueError, match="counts"):
+            entropy.greedy_cover_count(np.eye(3, dtype=bool), 0.1, counts)
+
+    @staticmethod
+    def cliques(k, copies, eps):
+        """k equal cliques far apart on a line, each of len(copies) points
+        within one ball of radius eps/2, point j of a clique drawn
+        copies[j] times: the distinct points' matrix, their counts and the
+        matrix of the sample with every copy listed."""
+        x = (np.arange(k)[:, None] + np.arange(len(copies)) * eps / 8).ravel()
+        counts = np.tile(copies, k)
+        rows = np.repeat(np.arange(len(x)), counts)
+        D = np.abs(x[:, None] - x[None, :])
+        return D, counts, D[np.ix_(rows, rows)]
+
+    @pytest.mark.parametrize("copies", [(1, 1, 1), (1, 3, 2)])
+    def test_more_tied_balls_than_one_step_gathers(self, copies):
+        # every ball of the 73 cliques ties at the first step, more of them
+        # than COVER_ROWS; eps = 0.05 lets fewer than three cliques' weight
+        # stay uncovered, so the greedy takes 70 balls over two steps
+        eps = 0.05
+        D, counts, sample = self.cliques(entropy.COVER_ROWS + 9, copies, eps)
+        cover = within(D, eps)
+        w = sum(copies)
+        assert len(set(counts @ cover)) == 1
+        assert 4 * w > entropy._max_uncovered(eps, int(counts.sum())) >= 3 * w
+        assert entropy.greedy_cover_count(cover, eps, counts) == \
+            reference_greedy(sample, eps) == entropy.COVER_ROWS + 6
+
+    @pytest.mark.parametrize("copies", [(1, 1, 1), (2, 1, 1)])
+    def test_allowance_stops_inside_a_tied_run(self, copies):
+        # ten tied cliques of weight w = sum(copies) and eps = 0.25: the
+        # greedy may leave floor(0.25 * 10 w - 1e-9) uncovered, which it
+        # reaches after 8 cliques, inside the run of ten
+        eps = 0.25
+        D, counts, sample = self.cliques(10, copies, eps)
+        w = sum(copies)
+        assert 10 * w - 7 * w > entropy._max_uncovered(eps, 10 * w) \
+            >= 10 * w - 8 * w
+        assert entropy.greedy_cover_count(within(D, eps), eps, counts) == \
+            reference_greedy(sample, eps) == 8
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_instances())
+    def test_tied_point_sets_match_plain_greedy(self, inst):
+        D, eps = inst
+        Dd, counts = distinct(D, first_occurrence_labels(D))
+        want = reference_greedy(D, eps)
+        assert entropy.greedy_cover_count(within(Dd, eps), eps, counts) == \
+            greedy(within(D, eps), eps) == want
 
     @pytest.mark.parametrize("copies", [1, 2])
     def test_tiny_eps_covers_every_point(self, copies):
@@ -730,6 +807,33 @@ class TestClosedForm:
             closed = (1 << n) * (1 - binary_entropy(self.EPS / 2))
             bits, = entropy.feature_entropy_bits(fm, (self.EPS,))
             assert 1.0 <= bits / closed <= self.VOLUME_RATIO
+
+    def z_direct(self, seed, t, n=2000):
+        """The direct z-estimate (plain greedy on the t-step averaged cut,
+        unsplit), drawn as the z curve draws it."""
+        sample = measures.draw_sharded(OmegaSigmaSampler((1,) * 8, 8, 8), n,
+                                       seed, 1)
+        (bits,), _ = entropy.z_estimates(sample["w"], sample["alpha"], t,
+                                         (self.EPS,))
+        return bits
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_z_direct_ratio_in_band(self, seed):
+        # the t-step averaged cut reads w at t distinct cells, uniform bits
+        # under 1^8: at t = 16 the sample holds the cover, and the direct
+        # estimate lies in the d-mode band
+        closed = 16 * (1 - binary_entropy(self.EPS / 2))
+        assert 1.0 <= self.z_direct(seed, 16) / closed <= self.VOLUME_RATIO
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_z_direct_at_the_ceiling(self, seed):
+        # at t = 32 the closed form, about 14.6 bits, lies above the sample
+        # ceiling log2(n - floor(eps * n)), about 10.55 bits, and the direct
+        # estimate reads within 0.25 bits of the ceiling
+        n = 2000
+        ceiling = math.log2(n - math.floor(self.EPS * n))
+        closed = 32 * (1 - binary_entropy(self.EPS / 2))
+        assert ceiling - 0.25 <= self.z_direct(seed, 32, n) <= ceiling < closed
 
 
 class TestZSampleLimited:
