@@ -78,7 +78,8 @@ def bench(checkout, workload, seed, trace) -> dict:
 def paired(runs, first, second, workloads) -> dict:
     """Per workload and metric, the per-seed ratios second / first: their
     median and inclusive quartiles, and how many pairs read lower on the
-    second checkout."""
+    second checkout.  Pairs whose first value is 0 (a traced count that
+    never fired) have no ratio and are left out."""
     out = {}
     for w in workloads:
         metrics = {(r["checkout"], r["seed"]): r["result"]["metrics"]
@@ -87,7 +88,10 @@ def paired(runs, first, second, workloads) -> dict:
         out[w] = {}
         for m in metrics[first, seeds[0]]:
             pairs = [(metrics[first, s][m]["value"],
-                      metrics[second, s][m]["value"]) for s in seeds]
+                      metrics[second, s][m]["value"]) for s in seeds
+                     if metrics[first, s][m]["value"]]
+            if not pairs:
+                continue
             ratios = [b / a for a, b in pairs]
             q1, q2, q3 = (statistics.quantiles(ratios, method="inclusive")
                           if len(ratios) > 1 else ratios * 3)
@@ -123,10 +127,13 @@ def main():
                 runs.append(run)
                 print(f"{workload} seed {seed} {name}: correct "
                       f"{run['result']['correct']}", file=sys.stderr)
+    # traced runs of different workloads report different layers
+    first_run = {w: next(r for r in runs if r["workload"] == w)
+                 for w in args.workloads}
     medians = {w: {name: {m: statistics.median(
                        r["result"]["metrics"][m]["value"] for r in runs
                        if r["workload"] == w and r["checkout"] == name)
-                          for m in runs[0]["result"]["metrics"]}
+                          for m in first_run[w]["result"]["metrics"]}
                    for name, _ in checkouts}
                for w in args.workloads}
     record = {

@@ -640,6 +640,19 @@ class TestBenchScript:
         assert "growth-d wall_s: change/parent median 1.000 [0.750, 1.500]" \
             ", lower in 1 of 3" in out
 
+    def test_no_ratio_to_a_zero(self):
+        # a traced count may read 0: seeds where the first checkout reads 0
+        # give no ratio, and a metric with no ratio left is not paired
+        bench = _script("bench")
+        value = {("p", 1): 0, ("c", 1): 3, ("p", 2): 4, ("c", 2): 2}
+        runs = [{"checkout": name, "workload": "growth-d", "seed": seed,
+                 "result": {"metrics": {"balls": {"value": v},
+                                        "saturated": {"value": 0}}}}
+                for (name, seed), v in value.items()]
+        paired = bench.paired(runs, "p", "c", ["growth-d"])["growth-d"]
+        assert paired == {"balls": {"median": 0.5, "q1": 0.5, "q3": 0.5,
+                                    "pairs": 1, "lower": 1}}
+
     def test_no_pairs_with_one_checkout(self, monkeypatch, tmp_path, capsys):
         bench = _script("bench")
         monkeypatch.setattr(bench, "bench", lambda *args: {
@@ -657,28 +670,34 @@ class TestBenchScript:
 
     @pytest.mark.parametrize("trace", [0, 1])
     def test_passes_the_trace_flag(self, monkeypatch, tmp_path, trace):
-        # each run gets the flag, and the file records it
+        # each run gets the flag, and the file records it; traced runs of
+        # two workloads report different layers, each with its own medians
         bench = _script("bench")
         argvs = []
 
         def fake_run(cmd, **kwargs):
             argvs.append(cmd)
+            layer = f"{cmd[cmd.index('--workload') + 1]}.s"
             return subprocess.CompletedProcess(cmd, 0, stdout=(
-                '{}\n{"correct": true, "metrics": {"wall_s": {"value": 1}}}'))
+                '{}\n{"correct": true, "metrics": {"%s": {"value": 1}}}'
+                % layer))
 
         monkeypatch.setattr(bench.subprocess, "run", fake_run)
         monkeypatch.setattr(bench, "git", lambda *args: "rev")
         monkeypatch.setattr(bench, "cached_bytecode", lambda path: False)
         monkeypatch.setattr(bench, "ROOT", tmp_path)
         monkeypatch.setattr(sys, "argv", [
-            "bench.py", "--tag", "t", "--workloads", "growth-d",
+            "bench.py", "--tag", "t", "--workloads", "growth-d", "growth-z",
             "--seeds", "5", "--trace", str(trace)])
         bench.main()
         assert argvs == [[sys.executable, "perfbench/run.py", "--workload",
-                          "growth-d", "--seed", "5", "--seconds",
-                          str(bench.SECONDS), "--trace", str(trace)]]
-        assert json.loads((tmp_path / "BENCH_t.json").read_text())[
-            "trace"] == trace
+                          w, "--seed", "5", "--seconds", str(bench.SECONDS),
+                          "--trace", str(trace)]
+                         for w in ("growth-d", "growth-z")]
+        record = json.loads((tmp_path / "BENCH_t.json").read_text())
+        assert record["trace"] == trace
+        assert record["medians"] == {w: {"this": {f"{w}.s": 1}}
+                                     for w in ("growth-d", "growth-z")}
 
     def test_records_the_load_before_each_run(self):
         bench = _script("bench")

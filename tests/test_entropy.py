@@ -322,14 +322,19 @@ def distinct(D, labels):
 
 @st.composite
 def cover_instances(draw, max_n):
-    """Normalized Hamming matrices on few bits (many tied gains), optionally
-    perturbed by a symmetric matrix with a zero diagonal; points are listed
-    1-3 times each, in a random order, and at most max_n are kept."""
+    """Normalized L1 matrices on a small integer grid or normalized Hamming
+    matrices on few bits (long runs of tied gains), optionally perturbed by
+    a symmetric matrix with a zero diagonal; points are listed 1-3 times
+    each, in a random order, and at most max_n are kept."""
     k = draw(st.integers(1, max_n))
-    bits = draw(st.integers(1, 10))
     rng = RNG(draw(st.integers(0, 2 ** 32 - 1)))
-    X = rng.integers(0, 2, (k, bits))
-    D = (X[:, None, :] != X[None, :, :]).mean(axis=2)
+    if draw(st.booleans()):
+        side, dim = draw(st.integers(2, 6)), draw(st.integers(1, 3))
+        X = rng.integers(0, side, (k, dim))
+        D = np.abs(X[:, None, :] - X[None, :, :]).sum(axis=2) / (dim * side)
+    else:
+        X = rng.integers(0, 2, (k, draw(st.integers(1, 10))))
+        D = (X[:, None, :] != X[None, :, :]).mean(axis=2)
     if draw(st.booleans()):
         P = rng.uniform(-0.1, 0.1, D.shape)
         D = D + (P + P.T) / 2
@@ -337,24 +342,6 @@ def cover_instances(draw, max_n):
     rows = rng.permutation(np.repeat(np.arange(k), rng.integers(1, 4, k)))
     rows = rows[:max_n]
     return D[np.ix_(rows, rows)], draw(st.sampled_from([0.1, 0.25, 0.5, 1.0]))
-
-
-@st.composite
-def tied_instances(draw):
-    """Point sets with long runs of tied gains: a small integer grid under
-    normalized L1, or few-bit normalized Hamming; points are drawn with
-    replacement and listed 1-3 times each, in a random order."""
-    rng = RNG(draw(st.integers(0, 2 ** 32 - 1)))
-    k = draw(st.integers(1, 150))
-    if draw(st.booleans()):
-        side, dim = draw(st.integers(2, 6)), draw(st.integers(1, 3))
-        X = rng.integers(0, side, (k, dim))
-        D = np.abs(X[:, None, :] - X[None, :, :]).sum(axis=2) / (dim * side)
-    else:
-        X = rng.integers(0, 2, (k, draw(st.integers(1, 8))))
-        D = (X[:, None, :] != X[None, :, :]).mean(axis=2)
-    rows = rng.permutation(np.repeat(np.arange(k), rng.integers(1, 4, k)))
-    return D[np.ix_(rows, rows)], draw(st.sampled_from([0.1, 0.25, 0.5]))
 
 
 class TestGreedyIncremental:
@@ -480,15 +467,6 @@ class TestGreedyIncremental:
             >= 10 * w - 8 * w
         assert entropy.greedy_cover_count(within(D, eps), eps, counts) == \
             reference_greedy(sample, eps) == 8
-
-    @settings(max_examples=150, deadline=None)
-    @given(tied_instances())
-    def test_tied_point_sets_match_plain_greedy(self, inst):
-        D, eps = inst
-        Dd, counts = distinct(D, first_occurrence_labels(D))
-        want = reference_greedy(D, eps)
-        assert entropy.greedy_cover_count(within(Dd, eps), eps, counts) == \
-            greedy(within(D, eps), eps) == want
 
     @pytest.mark.parametrize("copies", [1, 2])
     def test_tiny_eps_covers_every_point(self, copies):
