@@ -23,7 +23,9 @@ shared the machine.
 With two or more checkouts the second is paired with the first by seed:
 per workload and metric, the file keeps under "paired" (and the script
 prints) the median of the per-seed ratios second / first, its inclusive
-quartiles, and the count of pairs in which the second reads lower.
+quartiles, and the count of pairs in which the second reads lower.  Seeds
+where the first reads 0 give no ratio; they are counted, and a metric that
+the second reads nonzero there is flagged.
 
 A checkout with cached bytecode skips compiling src/ at start-up, so
 checkouts that differ in it are not comparable on setup_s; the script warns
@@ -77,9 +79,11 @@ def bench(checkout, workload, seed, trace) -> dict:
 
 def paired(runs, first, second, workloads) -> dict:
     """Per workload and metric, the per-seed ratios second / first: their
-    median and inclusive quartiles, and how many pairs read lower on the
-    second checkout.  Pairs whose first value is 0 (a traced count that
-    never fired) have no ratio and are left out."""
+    median and inclusive quartiles (None when no seed has one), and how
+    many pairs read lower on the second checkout.  A seed whose first value
+    is 0 (a traced count that never fired) has no ratio: such seeds are
+    counted under "zero_first", and those of them where the second checkout
+    reads nonzero under "rose_from_zero", with a line printed for them."""
     out = {}
     for w in workloads:
         metrics = {(r["checkout"], r["seed"]): r["result"]["metrics"]
@@ -87,19 +91,25 @@ def paired(runs, first, second, workloads) -> dict:
         seeds = sorted({seed for name, seed in metrics if name == first})
         out[w] = {}
         for m in metrics[first, seeds[0]]:
-            pairs = [(metrics[first, s][m]["value"],
-                      metrics[second, s][m]["value"]) for s in seeds
-                     if metrics[first, s][m]["value"]]
-            if not pairs:
-                continue
+            values = [(metrics[first, s][m]["value"],
+                       metrics[second, s][m]["value"]) for s in seeds]
+            pairs = [(a, b) for a, b in values if a]
             ratios = [b / a for a, b in pairs]
             q1, q2, q3 = (statistics.quantiles(ratios, method="inclusive")
-                          if len(ratios) > 1 else ratios * 3)
+                          if len(ratios) > 1 else ratios * 3 or [None] * 3)
             out[w][m] = {"median": q2, "q1": q1, "q3": q3, "pairs": len(pairs),
                          "lower": sum(b < a for a, b in pairs)}
-            print(f"{w} {m}: {second}/{first} median {q2:.3f} "
-                  f"[{q1:.3f}, {q3:.3f}], lower in {out[w][m]['lower']} of "
-                  f"{len(pairs)}")
+            if len(pairs) < len(values):
+                rose = sum(not a and b != 0 for a, b in values)
+                out[w][m].update(zero_first=len(values) - len(pairs),
+                                 rose_from_zero=rose)
+                if rose:
+                    print(f"{w} {m}: {first} reads 0 and {second} nonzero "
+                          f"in {rose} of {len(values)} seeds")
+            if ratios:
+                print(f"{w} {m}: {second}/{first} median {q2:.3f} "
+                      f"[{q1:.3f}, {q3:.3f}], lower in {out[w][m]['lower']} "
+                      f"of {len(pairs)}")
     return out
 
 

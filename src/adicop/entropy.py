@@ -117,14 +117,14 @@ def greedy_cover_count(cover: np.ndarray, eps: float, counts: np.ndarray) -> int
                              axis=1).tobytes()
         taken = 0  # points in the balls taken at this step
         for s in range(0, len(packed), width):
-            ball = int.from_bytes(packed[s:s + width]) & uncovered
+            ball = int.from_bytes(packed[s:s + width], "big") & uncovered
             if not ball & taken:
                 taken, left, balls = taken | ball, left - g, balls + 1
                 if left <= allow:
                     break
         uncovered ^= taken
-        new = np.flatnonzero(np.unpackbits(np.frombuffer(
-            taken.to_bytes(width), np.uint8), count=len(cover)).view(bool))
+        bits = np.frombuffer(taken.to_bytes(width, "big"), np.uint8)
+        new = np.flatnonzero(np.unpackbits(bits, count=len(cover)).view(bool))
         for s in range(0, len(new), COVER_ROWS):
             rows = new[s:s + COVER_ROWS]
             gains -= add_copies(rows, cover[rows].sum(axis=0, dtype=dt))

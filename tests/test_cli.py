@@ -419,6 +419,20 @@ def test_src_line_count():
     assert lines <= SRC_LINES_MAX
 
 
+def test_src_names_every_byte_order():
+    # int.to_bytes and int.from_bytes default to "big" only from Python
+    # 3.11; src/ supports 3.10, where a call without the byte order raises
+    import ast
+    bare = [f"{p.name}:{node.lineno}"
+            for p in (ROOT / "src" / "adicop").glob("*.py")
+            for node in ast.walk(ast.parse(p.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("to_bytes", "from_bytes")
+            and len(node.args) < 2
+            and "byteorder" not in {k.arg for k in node.keywords}]
+    assert bare == []
+
+
 @pytest.mark.parametrize("regime", ["ones", "alternating", "zeros"])
 @pytest.mark.parametrize("mode", ["d", "z", "filtration"])
 def test_reproduces_committed_scaling(tmp_path, capsys, mode, regime):
@@ -640,18 +654,30 @@ class TestBenchScript:
         assert "growth-d wall_s: change/parent median 1.000 [0.750, 1.500]" \
             ", lower in 1 of 3" in out
 
-    def test_no_ratio_to_a_zero(self):
+    def test_no_ratio_to_a_zero(self, capsys):
         # a traced count may read 0: seeds where the first checkout reads 0
-        # give no ratio, and a metric with no ratio left is not paired
+        # give no ratio but are counted, and a count that the second
+        # checkout reads nonzero there is kept and flagged
         bench = _script("bench")
         value = {("p", 1): 0, ("c", 1): 3, ("p", 2): 4, ("c", 2): 2}
+        fired = {("p", 1): 0, ("c", 1): 5, ("p", 2): 0, ("c", 2): 0}
         runs = [{"checkout": name, "workload": "growth-d", "seed": seed,
                  "result": {"metrics": {"balls": {"value": v},
-                                        "saturated": {"value": 0}}}}
+                                        "saturated": {"value": 0},
+                                        "fired": {"value": fired[name, seed]}}}}
                 for (name, seed), v in value.items()]
         paired = bench.paired(runs, "p", "c", ["growth-d"])["growth-d"]
-        assert paired == {"balls": {"median": 0.5, "q1": 0.5, "q3": 0.5,
-                                    "pairs": 1, "lower": 1}}
+        assert paired["balls"] == {"median": 0.5, "q1": 0.5, "q3": 0.5,
+                                   "pairs": 1, "lower": 1, "zero_first": 1,
+                                   "rose_from_zero": 1}
+        assert paired["saturated"] == {"median": None, "q1": None, "q3": None,
+                                       "pairs": 0, "lower": 0, "zero_first": 2,
+                                       "rose_from_zero": 0}
+        assert paired["fired"]["median"] is None
+        assert paired["fired"]["rose_from_zero"] == 1
+        out = capsys.readouterr().out
+        assert "growth-d fired: p reads 0 and c nonzero in 1 of 2 seeds" in out
+        assert "growth-d saturated" not in out
 
     def test_no_pairs_with_one_checkout(self, monkeypatch, tmp_path, capsys):
         bench = _script("bench")
