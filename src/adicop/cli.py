@@ -207,18 +207,15 @@ def _check_orbit_sizes():
 
 
 def cmd_oracle(args, cfg) -> int:
-    depth = args.depth
-    if not 0 <= depth <= graph.EXHAUSTIVE_DEPTH:
-        raise UsageError(f"depth must lie in [0, {graph.EXHAUSTIVE_DEPTH}], "
-                         f"got {depth}")
-    psi_depth = min(depth, 3)
+    """Exhaustive small-depth self-checks."""
+    small = min(args.depth, 3)
     checks = [
         ("group-laws", _check_group_laws, ()),
-        ("psi-bijection", _check_psi_bijection, (psi_depth,)),
-        ("group-action-diagram", _check_group_diagram, (min(depth, 3),)),
+        ("psi-bijection", _check_psi_bijection, (small,)),
+        ("group-action-diagram", _check_group_diagram, (small,)),
         ("adic-diagram", _check_adic_diagram, (args.seed,)),
-        ("adic-order", _check_adic_order, (depth,)),
-        ("kappa-orbits", _check_kappa_orbits, (min(depth, 3),)),
+        ("adic-order", _check_adic_order, (args.depth,)),
+        ("kappa-orbits", _check_kappa_orbits, (small,)),
         ("kantorovich-bruteforce", _check_kantorovich_oracle, (args.seed,)),
         ("orbit-sizes", _check_orbit_sizes, ()),
     ]
@@ -248,6 +245,7 @@ def sharded_curve(args, sigma, scales, eps_grid, k: int = 0) -> EntropyCurve:
 
 
 def cmd_scaling(args, cfg) -> int:
+    """Entropy growth curve and its growth-class verdict."""
     sigma = parse_sigma(args.sigma)
     scales = parse_int_list(args.scales)
     eps_grid = parse_eps_list(args.eps)
@@ -264,7 +262,7 @@ def cmd_scaling(args, cfg) -> int:
     payload = {"verdicts": verdicts,
                "targets": {str(eps): target for eps in eps_grid},
                "config": cfg, "version": version_string()}
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    emit_json(payload, None)
     return 0 if all(v["pass"] for v in verdicts.values()) else 1
 
 
@@ -322,15 +320,8 @@ def build_sampler(spec: str, M: int):
     raise UsageError(f"unknown measure spec {spec!r}")
 
 
-MAX_CYL_LEN = 20  # the cylinder table has 2**cyl_len cells
-MAX_M = 62  # digit values alpha < 2**M are int64 draws
-
-
 def cmd_classify(args, cfg) -> int:
-    if args.n_accept < 1:
-        raise UsageError(f"n-accept must be at least 1, got {args.n_accept}")
-    if not 1 <= args.M <= MAX_M:
-        raise UsageError(f"M must lie in [1, {MAX_M}], got {args.M}")
+    """Periodic type of a named measure."""
     # the aperiodic sampler resolves the R digits of its Toeplitz base
     # whatever M is; building it to ask would draw
     resolution = (measures.ToeplitzBase().R
@@ -341,9 +332,6 @@ def cmd_classify(args, cfg) -> int:
                          f"got {args.kmax}")
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise UsageError(f"tol must be finite and nonnegative, got {args.tol}")
-    if not 1 <= args.cyl_len <= MAX_CYL_LEN:
-        raise UsageError(f"cyl-len must lie in [1, {MAX_CYL_LEN}], "
-                         f"got {args.cyl_len}")
     sampler = build_sampler(args.spec, args.M)
     report = measures.classify_periodic_type(
         sampler, args.kmax, args.cyl_len, args.n_accept, args.tol,
@@ -359,6 +347,7 @@ def cmd_classify(args, cfg) -> int:
 # entropy (ad-hoc single estimate)
 
 def cmd_entropy(args, cfg) -> int:
+    """One ad-hoc entropy estimate."""
     sigma = parse_sigma(args.sigma)
     eps_grid = parse_eps_list(args.eps)
     if len(eps_grid) != 1:
@@ -380,6 +369,7 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# every option but --config, --seed and --out, typed as its default
 DEFAULTS = {
     "common": {"workers": 1},
     "oracle": {"depth": 4},
@@ -390,55 +380,33 @@ DEFAULTS = {
     "entropy": {"mode": "d", "sigma": "11111111", "scale": 5, "eps": "0.25",
                 "samples": 2000},
 }
+MODES = {"scaling": ["z", "d", "filtration"], "entropy": ["z", "d"]}
+# (least, greatest or None) of the integer options, checked before any work;
+# digit values alpha < 2**M are int64 draws, and the cylinder table has
+# 2**cyl_len cells
+RANGES = {"seed": (0, None), "workers": (1, None),
+          "depth": (0, graph.EXHAUSTIVE_DEPTH), "n_accept": (1, None),
+          "M": (1, 62), "cyl_len": (1, 20)}
+COMMANDS = {"oracle": cmd_oracle, "scaling": cmd_scaling,
+            "classify": cmd_classify, "entropy": cmd_entropy}
 
 
 def build_parser() -> argparse.ArgumentParser:
     top = Parser(prog="adicop")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, about):
+    for name, cmd in COMMANDS.items():
         # no abbreviations: a config key must name its option in full
-        p = sub.add_parser(name, help=about, allow_abbrev=False)
+        p = sub.add_parser(name, help=cmd.__doc__, allow_abbrev=False)
         p.add_argument("--config", help="flat key = value config file")
         # a string default passes through type=int like a flag value
         p.add_argument("--seed", type=int,
                        default=os.environ.get(SEED_ENV, "0"))
-        p.add_argument("--workers", type=int)
         p.add_argument("--out")
-        p.set_defaults(**DEFAULTS["common"], **DEFAULTS[name])
-        return p
-
-    p = add("oracle", "exhaustive small-depth self-checks")
-    p.add_argument("--depth", type=int)
-
-    p = add("scaling", "entropy growth curve + verdict")
-    p.add_argument("--mode", choices=["z", "d", "filtration"])
-    p.add_argument("--sigma")
-    p.add_argument("--k", type=int)
-    p.add_argument("--eps")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--scales")
-
-    p = add("classify", "periodic type of a named measure")
-    p.add_argument("--spec")
-    p.add_argument("--kmax", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--cyl-len", type=int)
-    p.add_argument("--n-accept", type=int)
-    p.add_argument("--M", type=int)
-
-    p = add("entropy", "one ad-hoc entropy estimate")
-    p.add_argument("--mode", choices=["z", "d"])
-    p.add_argument("--sigma")
-    p.add_argument("--scale", type=int)
-    p.add_argument("--eps")
-    p.add_argument("--samples", type=int)
-
+        for key, val in {**DEFAULTS["common"], **DEFAULTS[name]}.items():
+            p.add_argument("--" + key.replace("_", "-"), type=type(val),
+                           default=val,
+                           choices=MODES[name] if key == "mode" else None)
     return top
-
-
-COMMANDS = {"oracle": cmd_oracle, "scaling": cmd_scaling,
-            "classify": cmd_classify, "entropy": cmd_entropy}
 
 
 def main(argv=None) -> int:
@@ -451,10 +419,12 @@ def main(argv=None) -> int:
             # which therefore win
             args = parser.parse_args(argv[:1] + load_config(args.config)
                                      + argv[1:])
-        if args.seed < 0:
-            raise UsageError(f"seed must be nonnegative, got {args.seed}")
-        if args.workers < 1:
-            raise UsageError(f"workers must be at least 1, got {args.workers}")
+        for key, (lo, hi) in RANGES.items():
+            val = getattr(args, key, lo)
+            if val < lo or hi is not None and val > hi:
+                raise UsageError(f"{key.replace('_', '-')} must " + (
+                    f"be at least {lo}" if hi is None
+                    else f"lie in [{lo}, {hi}]") + f", got {val}")
         # workers sets parallelism only and must not alter output bytes
         cfg = {key: val for key, val in vars(args).items()
                if key not in ("config", "out", "workers")}

@@ -280,8 +280,9 @@ DRIFT_TOL = 1.0  # bound on a monotone top-half drift of the gaps
 def asymp_compare(bits, target) -> dict:
     """Growth-class comparison: per-scale gaps log2(bits) - log2(target) must
     have bounded spread and no monotone drift over the top half of scales."""
-    if len(bits) < 2:
-        raise ValueError("need at least two scales")
+    if len(bits) < 2 or len(bits) != len(target):
+        raise ValueError("need two or more scales and one target per scale,"
+                         f" got {len(bits)} bits and {len(target)} targets")
     gaps = [math.log2(max(b, 0.25)) - math.log2(t)
             for b, t in zip(bits, target)]
     spread = max(gaps) - min(gaps)

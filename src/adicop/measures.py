@@ -387,8 +387,16 @@ def classify_periodic_type(sampler, k_max: int, L: int, n_accept: int,
     total-variation distances; see `theta_verdict`.  Each k is cut into
     N_SHARDS shards, each nonempty (k, shard) drawing from its own generator
     spawned from `rng`; counts are summed in (k, shard) order, so the
-    report is the same for any number of workers.
+    report is the same for any number of workers.  A bad request raises
+    ValueError before anything is drawn.
     """
+    if n_accept < 1 or L < 1:
+        raise ValueError(f"n_accept and L must be at least 1, got {n_accept}"
+                         f" and {L}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    if not 0 <= k_max < sampler.M:
+        raise ValueError(f"k_max must lie in [0, M = {sampler.M}), got {k_max}")
     jobs = [(k, size) for k in range(k_max + 2)
             for size in shard_sizes(n_accept) if size]
 

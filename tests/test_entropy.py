@@ -712,6 +712,11 @@ class TestCurvesAndCompare:
         target = [2 ** n for n in range(3, 9)]
         assert not entropy.asymp_compare(bits, target)["pass"]
 
+    def test_asymp_compare_refuses_unequal_lengths(self):
+        # zip would drop the fourth scale and read a pass
+        with pytest.raises(ValueError, match="one target per scale"):
+            entropy.asymp_compare([1, 2, 4, 100], [1, 2, 4])
+
 
 class TestScalingSmall:
     def test_d_curve_small(self):
@@ -765,12 +770,21 @@ class TestClosedForm:
                     / (16 * (1 - binary_entropy(0.125))))
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_d_mode_ratio_in_band(self, seed):
-        levels = range(4, 9)
-        curve = entropy.scaling_curve_d(MSigmaSampler((1,) * 8, 8), levels,
+    @pytest.mark.parametrize("sigma", ["11111111", "10101010", "11001100",
+                                       "01010101"])
+    def test_d_mode_ratio_in_band(self, seed, sigma):
+        # under any sigma the deduplicated metric at level n is normalized
+        # Hamming on d = 2**(sigma_0 + ... + sigma_{n-1}) uniform bits; the
+        # band holds from d = 16, one whole block (below it the ratios read
+        # 1.2-2.0): levels 4-8 of 1^8, 7-8 of (10)^4, 6-8 of (1100)^2 and
+        # 8 of (01)^4
+        sigma = tuple(map(int, sigma))
+        dims = {n: 1 << sum(sigma[:n]) for n in range(9)}
+        levels = [n for n, d in dims.items() if d >= 16]
+        curve = entropy.scaling_curve_d(MSigmaSampler(sigma, 8), levels,
                                         eps_grid=(self.EPS,), seed=seed)
         for n, bits in zip(levels, curve.bits(self.EPS)):
-            closed = (1 << n) * (1 - binary_entropy(self.EPS / 2))
+            closed = dims[n] * (1 - binary_entropy(self.EPS / 2))
             assert 1.0 <= bits / closed <= self.VOLUME_RATIO
 
     @pytest.mark.parametrize("seed", [0, 1])

@@ -470,6 +470,27 @@ class TestClassifier:
         assert min(rep["tv_ladder"][2:]) > 0.2
 
 
+class TestClassifierRefuses:
+    # each request used to return a verdict, or raise only after the
+    # shards of every lower k had drawn
+    @pytest.mark.parametrize("k_max,L,n_accept,tol,name", [
+        (3, 6, 0, 0.03, "n_accept"), (3, 0, 100, 0.03, "L must"),
+        (3, 6, 100, math.nan, "tol"), (3, 6, 100, math.inf, "tol"),
+        (3, 6, 100, -0.01, "tol"), (8, 6, 100, 0.03, "k_max"),
+        (-1, 6, 100, 0.03, "k_max")],
+        ids=["n_accept-0", "L-0", "tol-nan", "tol-inf", "tol-negative",
+             "k_max-M", "k_max-negative"])
+    def test_bad_request_raises_before_drawing(self, monkeypatch, k_max, L,
+                                               n_accept, tol, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drawn before the request was checked")
+        monkeypatch.setattr(measures, "project_theta", refuse)
+        sampler = measures.ProductSampler(measures.BernoulliBase(), 8)
+        with pytest.raises(ValueError, match=name):
+            measures.classify_periodic_type(sampler, k_max, L, n_accept, tol,
+                                            RNG(0))
+
+
 class TestTables:
     def test_tv_range_and_mixture(self):
         a = measures.CylinderTable(np.array([3.0, 1.0]), 1)
