@@ -320,8 +320,11 @@ def z_feature_metric(w: np.ndarray, alpha: np.ndarray, t: int) -> FeatureMetric:
     seed-0 reading by more than 0.09 bits.
     """
     n, size = w.shape
-    j = np.arange(t, dtype=np.int64)
-    masks = (alpha[:, None] ^ ((alpha[:, None] + j[None, :]) % size))
+    if not size or size & (size - 1):
+        raise ValueError(f"w has {size} columns, not a power of two")
+    masks = alpha[:, None] + np.arange(t, dtype=np.int64)
+    masks &= size - 1  # the odometer modulo 2**N, in place
+    masks ^= alpha[:, None]
     feats = np.take_along_axis(w, masks, axis=1)
     return FeatureMetric(feats, np.ones(t, dtype=np.int64))
 

@@ -119,10 +119,11 @@ class AtomicBase:
 
     def draw(self, n: int, lo: int, hi: int, rng, shift=0) -> dict:
         off = self.shifts[rng.integers(0, len(self.shifts), size=n)] + shift
-        # one modulo per row, then a gather from the word repeated cyclically
+        # one modulo per row, then whole windows by row, no per-cell index
         start = (off + lo) % len(self.word)
         word = np.resize(self.word, hi - lo + len(self.word))
-        return {"y": word[start[:, None] + np.arange(hi - lo + 1)]}
+        windows = np.lib.stride_tricks.sliding_window_view(word, hi - lo + 1)
+        return {"y": windows.take(start, axis=0)}
 
 
 class ToeplitzBase:
@@ -134,19 +135,23 @@ class ToeplitzBase:
     the shift on this law has the odometer as a quotient and the level sets
     of the dyadic eigenfunctions are simply {v = r mod 2**n}.
 
-    `render` reduces by & (2**R - 1), on int64 the floor residue mod 2**R
-    for negative sums too; u with t trailing ones has u ^ (u + 1) =
-    2**(t + 1) - 1, so y = 1 - popcount(u ^ (u + 1)) mod 2.
+    `render` adds residues mod 2**R (R <= 30) of values and positions in
+    int32: u < 2**(R + 1) - 1 has the t trailing ones of u mod 2**R, and u ^
+    (u + 1) = 2**(t + 1) - 1, so y = 1 - popcount(u ^ (u + 1)) mod 2.
     """
 
     invariant_period = 1
 
     def __init__(self, R: int = 24):
+        if not 0 <= R <= 30:
+            raise ValueError(f"R must lie in [0, 30] for int32 sums, got {R}")
         self.R = R
 
     def render(self, val: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        u = (val[:, None] + np.arange(lo, hi + 1)) & ((1 << self.R) - 1)
-        return (np.bitwise_count(u ^ (u + 1)) & 1) ^ 1
+        res = (np.arange(lo, hi + 1) & ((1 << self.R) - 1)).astype(np.int32)
+        u = (val & ((1 << self.R) - 1)).astype(np.int32)[:, None] + res
+        u ^= u + 1
+        return (np.bitwise_count(u) & 1) ^ 1
 
     def draw(self, n: int, lo: int, hi: int, rng, k: int = 0,
              r: int = 0, shift=0) -> dict:
@@ -302,13 +307,15 @@ PACK_LOG2 = 6  # a code is one int64: at most 2**PACK_LOG2 digits
 
 def pack_words(bits: np.ndarray) -> np.ndarray:
     """The digit codec on arrays: the int64 code whose bit i is bits[..., i]
-    (the order of `alpha_value`), one per leading index."""
+    (the order of `alpha_value`), one per leading index; Horner's form from
+    the top digit shifts and ors in place, with no int64 copy per digit."""
     L = bits.shape[-1]
     if L > 1 << PACK_LOG2:
         raise ValueError(f"{L} digits exceed the {1 << PACK_LOG2} of a code")
     code = np.zeros(bits.shape[:-1], dtype=np.int64)
-    for i in range(L):
-        code |= bits[..., i].astype(np.int64) << i
+    for i in reversed(range(L)):
+        code <<= 1
+        code |= bits[..., i]
     return code
 
 

@@ -181,6 +181,13 @@ class TestFeatureMetricsAreTheAverages:
         if t == 16:
             assert 0 < wraps.sum() < len(wraps)
 
+    @pytest.mark.parametrize("size", [0, 3, 12])
+    def test_z_feature_metric_refuses_a_width_not_a_power_of_two(self, size):
+        # the odometer is reduced modulo the width by a mask, 2**N - 1
+        w = np.zeros((4, size), dtype=np.uint8)
+        with pytest.raises(ValueError, match=f"{size} columns"):
+            entropy.z_feature_metric(w, np.arange(4), 2)
+
 
 def within(D, eps):
     """The float layer's cover relation; column j is the ball around j."""

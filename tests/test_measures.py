@@ -125,7 +125,7 @@ class TestWindowKernels:
     `alpha_value`, row by row."""
 
     @settings(max_examples=150, deadline=None)
-    @given(R=st.sampled_from([6, 24]),
+    @given(R=st.sampled_from([6, 24, 30]),
            vals=st.lists(st.integers(-1 << 40, 1 << 40), min_size=1,
                          max_size=20),
            lo=st.integers(-80, 80), width=st.integers(0, 80))
@@ -133,6 +133,9 @@ class TestWindowKernels:
     @example(R=6, vals=[63, 127], lo=0, width=1)  # u = 2**R - 1
     @example(R=24, vals=[(1 << 24) - 1, -1], lo=0, width=1)
     @example(R=24, vals=[(3 << 24) + 5, (1 << 24) - 2], lo=-8, width=16)
+    # the int32 bound: residues 2**30 - 1 on both sides, sum 2**31 - 2
+    @example(R=30, vals=[(1 << 40) - 1, -(1 << 40) + (1 << 30) - 1,
+                         1 << 40, -(1 << 40)], lo=-2, width=4)
     def test_render_is_the_lowbit_form(self, R, vals, lo, width):
         val = np.asarray(vals, dtype=np.int64)
         hi = lo + width - 1
@@ -186,6 +189,33 @@ class TestWindowKernels:
             alpha_value(row) for row in bits.reshape(10, L)]
         with pytest.raises(ValueError, match="65 digits"):
             measures.pack_words(np.zeros((3, 65), dtype=np.uint8))
+
+    @pytest.mark.parametrize("R", [-1, 31, 64])
+    def test_toeplitz_refuses_a_resolution_above_int32(self, R):
+        with pytest.raises(ValueError, match="R must lie in"):
+            measures.ToeplitzBase(R)
+
+    @pytest.mark.parametrize("kernel, bound_mib", [
+        ("atomic", 1.0), ("render", 1.75), ("pack", 0.4)])
+    def test_kernel_memory(self, kernel, bound_mib):
+        # 25000 rows x 6 columns; tracemalloc peaks with an int64 array of
+        # rows x window cells were 1.67, 2.43 and 0.57 MiB, without one
+        # 0.57, 1.15 and 0.25 MiB
+        n, lo, hi = 25000, -6, -1
+        base = measures.AtomicBase(PERIOD8, [0, 4])
+        shift = RNG(52).integers(0, 4, n)
+        val = RNG(53).integers(-1 << 40, 1 << 40, n)
+        bits = RNG(54).integers(0, 2, (n, 6)).astype(np.uint8)
+        run = {"atomic": lambda: base.draw(n, lo, hi, RNG(55), shift),
+               "render": lambda: measures.ToeplitzBase().render(val, lo, hi),
+               "pack": lambda: measures.pack_words(bits)}[kernel]
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * (1 << 20)
 
     def test_aperiodic_projection_memory(self):
         # 25000 rows x 6 columns: the parent's modulo and lowest-bit form
