@@ -191,16 +191,16 @@ class TestWindowKernels:
             measures.pack_words(np.zeros((3, 65), dtype=np.uint8))
 
     @pytest.mark.parametrize("R", [-1, 31, 64])
-    def test_toeplitz_refuses_a_resolution_above_int32(self, R):
+    def test_toeplitz_refuses_a_resolution_outside_int32_sums(self, R):
         with pytest.raises(ValueError, match="R must lie in"):
             measures.ToeplitzBase(R)
 
     @pytest.mark.parametrize("kernel, bound_mib", [
         ("atomic", 1.0), ("render", 1.75), ("pack", 0.4)])
     def test_kernel_memory(self, kernel, bound_mib):
-        # 25000 rows x 6 columns; tracemalloc peaks with an int64 array of
-        # rows x window cells were 1.67, 2.43 and 0.57 MiB, without one
-        # 0.57, 1.15 and 0.25 MiB
+        # 25000 rows x 6 columns; tracemalloc peaks of the forms with int64
+        # temporaries of rows x cells were 1.67, 2.43 and 0.57 MiB, of the
+        # forms without them 0.57, 1.15 and 0.25 MiB
         n, lo, hi = 25000, -6, -1
         base = measures.AtomicBase(PERIOD8, [0, 4])
         shift = RNG(52).integers(0, 4, n)
