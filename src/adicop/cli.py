@@ -322,17 +322,13 @@ def build_sampler(spec: str, M: int):
 
 def cmd_classify(args, cfg) -> int:
     """Periodic type of a named measure."""
-    # the aperiodic sampler resolves the R digits of its Toeplitz base
-    # whatever M is; building it to ask would draw
-    resolution = (measures.ToeplitzBase().R
-                  if args.spec.split()[:1] == ["aperiodic"] else args.M)
-    if not 0 <= args.kmax < resolution:
-        raise UsageError(f"kmax must lie in [0, {resolution - 1}], below the "
-                         f"{resolution} digits the spec resolves; "
+    sampler = build_sampler(args.spec, args.M)
+    if not 0 <= args.kmax < sampler.M:
+        raise UsageError(f"kmax must lie in [0, {sampler.M - 1}], below the "
+                         f"{sampler.M} digits the spec resolves; "
                          f"got {args.kmax}")
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise UsageError(f"tol must be finite and nonnegative, got {args.tol}")
-    sampler = build_sampler(args.spec, args.M)
     report = measures.classify_periodic_type(
         sampler, args.kmax, args.cyl_len, args.n_accept, args.tol,
         np.random.default_rng(args.seed), args.workers)

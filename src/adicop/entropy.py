@@ -37,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import measures
-from .dyadic import N_MAX, sigma_extend
+from .dyadic import N_MAX, coset_count
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +448,8 @@ def scaling_curve_z(sampler, scales, eps_grid=DEFAULT_EPS_GRID,
 
 
 def sigma_target_d(sigma, levels):
-    return [1 << sum(sigma_extend(sigma, n)) for n in levels]
+    return [coset_count(sigma, n) for n in levels]
 
 
 def sigma_target_z(sigma, scales):
-    return [1 << sum(sigma_extend(sigma, t.bit_length() - 1)) for t in scales]
+    return [coset_count(sigma, t.bit_length() - 1) for t in scales]

@@ -148,15 +148,14 @@ def pairwise_dist_matrix(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     occurrence; the root table holds the `kantorovich_pairs` counts
     between them, of its dtype.
     """
-    rows, inv = np.unique(sym, axis=0, return_inverse=True)
-    symbols, codes = np.unique(rows, return_inverse=True)
-    codes, L = codes.reshape(rows.shape), rows.shape[1]
+    symbols, codes = np.unique(sym, return_inverse=True)
+    codes, L = codes.reshape(sym.shape), sym.shape[1]
     T = (symbols[:, None] != symbols).astype(np.min_scalar_type(L))
     while codes.shape[1] > 1:
-        kids = np.sort(codes.reshape(len(rows), -1, 2), axis=2)
+        kids = np.sort(codes.reshape(len(sym), -1, 2), axis=2)
         keys, codes = np.unique(kids[..., 0] * len(T) + kids[..., 1],
                                 return_inverse=True)
-        codes = codes.reshape(len(rows), -1)
+        codes = codes.reshape(len(sym), -1)
         a, b = np.divmod(keys, len(T))
         # a second gather costs less than a strided transpose of the first
         Ta, Tb = T.take(a, axis=0), T.take(b, axis=0)
@@ -165,7 +164,7 @@ def pairwise_dist_matrix(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         cross = Ta.take(b, axis=1)
         cross += Tb.take(a, axis=1)
         np.minimum(T, cross, out=T)
-    root = codes[inv, 0]
+    root = codes[:, 0]
     first, labels, _ = first_occurrence(root)
     return T[np.ix_(root[first], root[first])], labels
 

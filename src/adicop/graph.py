@@ -92,9 +92,7 @@ class PathPrefix:
             raise DepthError(f"floor {j} outside path depth {self.depth}")
         v = self.top
         for n in range(self.depth - 1, j - 1, -1):
-            half = 1 << n
-            base = (self.a >> n & 1) * half
-            v = Vertex(n, v.label[base:base + half])
+            v = v.children()[self.a >> n & 1]
         return v
 
     def vertices(self) -> list[Vertex]:

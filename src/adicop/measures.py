@@ -177,28 +177,6 @@ class OdometerLevels:
         return draw["val"] & ((1 << n) - 1)
 
 
-class EigenConsistencyError(ValueError):
-    pass
-
-
-EIGEN_PROBES = 20000
-EIGEN_DEPTH = 4
-
-
-def check_eigen_consistency(base, levels: OdometerLevels, rng) -> None:
-    """Each level set of depth n <= EIGEN_DEPTH must carry mass about 2**-n
-    (4 binomial sigma) in EIGEN_PROBES draws; only the masses are checked."""
-    d = base.draw(EIGEN_PROBES, 0, 1, rng)
-    for n in range(1, EIGEN_DEPTH + 1):
-        r = levels.level(d, n)
-        p = 2.0 ** -n
-        tol = 4 * math.sqrt(p * (1 - p) / EIGEN_PROBES)
-        counts = np.bincount(r, minlength=1 << n) / EIGEN_PROBES
-        if np.any(np.abs(counts - p) > tol):
-            raise EigenConsistencyError(
-                f"level-set mass at depth {n} deviates beyond 4 sigma")
-
-
 # ---------------------------------------------------------------------------
 # symbolic samplers (measures on I^Z x I^N)
 
@@ -248,20 +226,21 @@ class AperiodicSampler:
 
     The digit value is forced to (level - r(n, alpha)) mod 2**n at every
     depth n, so conditioning the digits on 0 mod 2**n restricts the base to
-    the level set B(r(n, alpha), n).  The level oracle is checked against
-    the base on a fixed probe sample.
+    the level set B(r(n, alpha), n).  That is exact up to the base's R
+    odometer digits, and levels above them are refused; nothing is drawn.
     """
 
     def __init__(self, base, levels: OdometerLevels, alpha):
         self.base = base
         self.levels = levels
+        if levels.max_level > getattr(base, "R", -1):  # -1: no odometer
+            raise ValueError("levels above the odometer digits R of the base")
         self.alpha = check_bits(alpha)
         if len(self.alpha) > levels.max_level:
             raise ValueError("alpha longer than the level resolution")
         # finite digit specs are zero-extended to the full resolution
         self.M = levels.max_level
         self.r_mask = alpha_value(self.alpha)
-        check_eigen_consistency(base, levels, np.random.default_rng(0))
 
     def draw(self, n: int, lo: int, hi: int, rng, k: int = 0,
              r: int = 0) -> dict:

@@ -835,6 +835,27 @@ class TestClosedForm:
         assert ceiling - 0.25 <= self.z_direct(seed, 32, n) <= ceiling < closed
 
 
+class TestFiltrationGrowthOverK:
+    # the growth class of scaled entropy does not depend on the generating
+    # semimetric: the Kantorovich iterations of rho_0, rho_1 and rho_2 each
+    # give a curve in sigma_target_d's class for the three regimes, and the
+    # zeros regime, the bounded control, reads one bit (the two constant
+    # trees) at every level.  Levels k+2 .. k+6: over k+1 .. k+5, k = 0
+    # under 1^12 sits at spread exactly SPREAD_TOL.
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("sigma", ["1" * 12, "10" * 6, "0" * 12])
+    def test_same_class_for_every_k(self, seed, k, sigma):
+        sigma, levels = tuple(map(int, sigma)), list(range(k + 2, k + 7))
+        sampler = entropy.curve_sampler("filtration", sigma, levels, 1000, k)
+        bits = entropy.scaling_curve("filtration", sampler, levels, (0.25,),
+                                     1000, seed, k).bits(0.25)
+        assert entropy.asymp_compare(
+            bits, entropy.sigma_target_d(sigma, levels))["pass"]
+        if not any(sigma):
+            assert bits == [1.0] * len(levels)
+
+
 class TestZSampleLimited:
     def test_direct_estimate_grows_with_samples(self):
         # alternating sigma at t = 256: the direct z-estimate sits just

@@ -95,19 +95,21 @@ class TestBases:
         y = base.render(vals, -64, 63)
         assert len({row.tobytes() for row in y}) == 64
 
-    def test_levels_consistency(self):
-        base = measures.ToeplitzBase()
-        levels = measures.OdometerLevels(base.R)
-        measures.check_eigen_consistency(base, levels, RNG(5))
-
-    def test_levels_inconsistency_detected(self):
-        class BadLevels(measures.OdometerLevels):
-            def level(self, draw, n):
-                return np.zeros_like(draw["val"])
-
-        base = measures.ToeplitzBase()
-        with pytest.raises(measures.EigenConsistencyError):
-            measures.check_eigen_consistency(base, BadLevels(base.R), RNG(6))
+    def test_aperiodic_levels_within_the_odometer_digits(self):
+        # v is uniform mod 2**R, so {v = r mod 2**n} are the level sets for
+        # n <= R only; above R the digits would read 0, and a base with no
+        # odometer value has no level sets at all
+        base = measures.ToeplitzBase(R=6)
+        for max_level in (7, 24):
+            with pytest.raises(ValueError, match="odometer digits"):
+                measures.AperiodicSampler(
+                    base, measures.OdometerLevels(max_level), [1, 0])
+        with pytest.raises(ValueError, match="odometer digits"):
+            measures.AperiodicSampler(measures.BernoulliBase(),
+                                      measures.OdometerLevels(6), [1, 0])
+        sampler = measures.AperiodicSampler(
+            base, measures.OdometerLevels(base.R), [1, 0])
+        assert sampler.M == base.R
 
     def test_shift_increments_level(self):
         base = measures.ToeplitzBase()
