@@ -125,26 +125,28 @@ def _check_group_laws():
     return None
 
 
+def _probe_paths(depth):
+    """One path per edge value a into the label 0, 1, ..., 2**depth - 1.  psi,
+    psi_inv, kappa and diag read a label through an index map fixed by a and
+    g; its distinct values expose that map, so it stands for every label."""
+    top = graph.Vertex(depth, np.arange(1 << depth))
+    return [graph.PathPrefix.from_value(top, a) for a in range(1 << depth)]
+
+
 def _check_psi_bijection(depth):
-    seen = set()
-    for x in graph.iter_paths(depth):
-        p = coding.psi(x)
-        if coding.psi_inv(p) != x:
-            return f"psi roundtrip fails at {x!r}"
-        seen.add(p)
-    want = (1 << (1 << depth)) * (1 << depth)
-    if len(seen) != want:
-        return f"psi not injective at depth {depth}: {len(seen)} != {want}"
+    # a left inverse makes psi injective: a bijection onto its images
+    for x in _probe_paths(depth):
+        if coding.psi_inv(coding.psi(x)) != x:
+            return f"psi roundtrip fails at a={x.a}"
     return None
 
 
 def _check_group_diagram(depth):
-    table = {x: coding.psi(x) for x in graph.iter_paths(depth)}
-    for x, p in table.items():
+    for x in _probe_paths(depth):
+        p = coding.psi(x)
         for g in range(1 << depth):
-            y = table.get(graph.kappa(g, x))
-            if y is None or y != coding.diag(g, p):
-                return f"group diagram fails at {x!r}, g={g}"
+            if coding.psi(graph.kappa(g, x)) != coding.diag(g, p):
+                return f"group diagram fails at a={x.a}, g={g}"
     return None
 
 
@@ -173,10 +175,9 @@ def _check_adic_order(depth):
 
 def _check_kappa_orbits(depth):
     # orbit structure only depends on alpha; one path suffices
-    x = next(graph.iter_paths(depth))
-    orbit = {graph.kappa(g, x).alpha for g in range(1 << depth)}
-    if len(orbit) != 1 << depth:
-        return f"kappa orbit degenerate at {x!r}"
+    x = _probe_paths(depth)[0]
+    if len({graph.kappa(g, x).alpha for g in range(1 << depth)}) != 1 << depth:
+        return f"kappa orbit degenerate at depth {depth}"
     return None
 
 
@@ -208,14 +209,13 @@ def _check_orbit_sizes():
 
 def cmd_oracle(args, cfg) -> int:
     """Exhaustive small-depth self-checks."""
-    small = min(args.depth, 3)
     checks = [
         ("group-laws", _check_group_laws, ()),
-        ("psi-bijection", _check_psi_bijection, (small,)),
-        ("group-action-diagram", _check_group_diagram, (small,)),
+        ("psi-bijection", _check_psi_bijection, (args.depth,)),
+        ("group-action-diagram", _check_group_diagram, (args.depth,)),
         ("adic-diagram", _check_adic_diagram, (args.seed,)),
         ("adic-order", _check_adic_order, (args.depth,)),
-        ("kappa-orbits", _check_kappa_orbits, (small,)),
+        ("kappa-orbits", _check_kappa_orbits, (args.depth,)),
         ("kantorovich-bruteforce", _check_kantorovich_oracle, (args.seed,)),
         ("orbit-sizes", _check_orbit_sizes, ()),
     ]

@@ -24,8 +24,8 @@ high-dimensional feature metrics are estimated block-additively:
 duplicate columns are collapsed exactly, the rest are split into blocks
 of bounded effective dimension, and the per-block greedy estimates are
 summed.  Summing is the subadditive covering bound for a split
-rho <= rho_1 + rho_2 and is exact up to the multiplicative constants that
-the growth-class comparison absorbs.
+rho <= rho_1 + rho_2; it keeps the growth class only for independent
+blocks, as under m^sigma and omega^sigma, whose cosets carry independent bits.
 """
 
 from __future__ import annotations

@@ -48,16 +48,29 @@ class TestOracle:
         assert run(["oracle", "--depth", depth]) == 2
         assert "depth" in capsys.readouterr().err
 
-    def test_depth_zero_runs(self, capsys):
-        assert run(["oracle", "--depth", "0"]) == 0
+    @pytest.mark.parametrize("depth", range(5))
+    def test_every_depth_passes(self, tmp_path, capsys, depth):
+        out = tmp_path / "oracle.json"
+        assert run(["oracle", "--depth", str(depth), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert set(report["checks"].values()) == {"pass"}
+
+    @pytest.mark.parametrize("depth", range(cli.RANGES["depth"][1] + 1))
+    def test_probe_label_values_are_distinct(self, depth):
+        # numpy wraps uint8 silently: past depth 8 the probe would repeat
+        # values and stop standing for every label
+        for x in cli._probe_paths(depth):
+            assert len(set(x.top.label.tolist())) == 1 << depth
 
 
-def _relabel_kappa(monkeypatch, edit):
-    """kappa followed by `edit` on a copy of the top label."""
+def _relabel_kappa(monkeypatch, edit, g_min=0):
+    """kappa followed, for g >= g_min, by `edit` on a copy of the top label."""
     kappa = graph.kappa
 
     def broken(g, x):
         y = kappa(g, x)
+        if g < g_min:
+            return y
         label = y.top.label.copy()
         edit(label)
         return graph.PathPrefix(graph.Vertex(y.depth, label), y.alpha)
@@ -82,6 +95,26 @@ def _diag_keeps_alpha_at_g1(monkeypatch):
     monkeypatch.setattr(coding, "diag", broken)
 
 
+def _diag_keeps_alpha_from_g8(monkeypatch):
+    diag = coding.diag
+
+    def broken(g, p):
+        if g >= 8:   # translate w but skip a ^ g
+            return coding.CodedPoint.from_value(
+                p.w[coding.xor_index(p.N, g)], p.a, p.M)
+        return diag(g, p)
+    monkeypatch.setattr(coding, "diag", broken)
+
+
+def _psi_drops_fourth_digit(monkeypatch):
+    psi = coding.psi
+
+    def broken(x):
+        p = psi(x)
+        return coding.CodedPoint.from_value(p.w, p.a & ~8, p.M)
+    monkeypatch.setattr(coding, "psi", broken)
+
+
 class TestOraclePower:
     @pytest.mark.parametrize("breakage", [
         lambda mp: _relabel_kappa(mp, _flip_bit),
@@ -99,6 +132,25 @@ class TestOraclePower:
         assert set(report["failures"]) == {"group-action-diagram"}
         assert "Traceback" not in capsys.readouterr().err
 
+    # each fault shows only at depth 4: the checks run at the depth the
+    # report names
+    @pytest.mark.parametrize("breakage, failing", [
+        (_diag_keeps_alpha_from_g8, {"group-action-diagram"}),
+        (_psi_drops_fourth_digit, {"psi-bijection", "group-action-diagram"}),
+        (lambda mp: _relabel_kappa(mp, _flip_bit, g_min=8),
+         {"group-action-diagram"}),
+    ], ids=["diag-skips-xor-from-g8", "psi-drops-fourth-digit",
+            "kappa-flips-label-bit-from-g8"])
+    def test_depth_4_only_fault_fails_depth_4(self, monkeypatch, capsys,
+                                               tmp_path, breakage, failing):
+        breakage(monkeypatch)
+        out = tmp_path / "oracle.json"
+        assert run(["oracle", "--depth", "3"]) == 0
+        assert run(["oracle", "--depth", "4", "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert set(report["failures"]) == failing
+        assert {k for k, v in report["checks"].items() if v == "fail"} == failing
+
 
 class TestOracleOrbitSizes:
     def test_inexact_size_fails(self, monkeypatch, tmp_path, capsys):
@@ -114,9 +166,9 @@ class TestOracleOrbitSizes:
 
 class TestOracleCost:
     def test_group_diagram_rechecks_no_digits(self, monkeypatch):
-        # kappa, psi and diag act on packed digit values: the 16384
-        # (path, g) pairs at depth 3 are all checked, with no digit check
-        # and no tau(g) digits on the way
+        # kappa, psi and diag act on packed digit values: the 16 probe
+        # paths x 16 g at depth 4 are checked with no digit check and no
+        # tau(g) digits on the way
         calls = dict.fromkeys(("check_bits", "tau", "kappa", "diag"), 0)
 
         def counted(name, fn):
@@ -132,9 +184,8 @@ class TestOracleCost:
             monkeypatch.setattr(module, "tau", tau, raising=False)
         monkeypatch.setattr(graph, "kappa", counted("kappa", graph.kappa))
         monkeypatch.setattr(coding, "diag", counted("diag", coding.diag))
-        assert cli._check_group_diagram(3) is None
-        assert calls == {"check_bits": 0, "tau": 0,
-                         "kappa": 16384, "diag": 16384}
+        assert cli._check_group_diagram(4) is None
+        assert calls == {"check_bits": 0, "tau": 0, "kappa": 256, "diag": 256}
 
 
 class TestScaling:

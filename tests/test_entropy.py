@@ -875,6 +875,22 @@ class TestZSampleLimited:
         assert all(b - a > 0.5 for a, b in zip(readings, readings[1:]))
 
 
+class TestBlockAdditiveNeedsIndependentBlocks:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_toeplitz_windows(self, seed):
+        # every interleaved block of a Toeplitz window reads the same
+        # odometer digits of v, so the blocks are not independent: the
+        # direct estimate stays at or below log2 6 bits, while the sum of
+        # the t/16 block estimates grows linearly, 2 bits a block
+        base = measures.ToeplitzBase()
+        for t in (64, 128, 256):
+            y = base.draw(2000, 0, t - 1, RNG(seed))["y"].astype(np.uint8)
+            fm = entropy.FeatureMetric(y, np.ones(t, dtype=np.int64))
+            direct, = entropy.feature_entropy_bits(fm, [0.25], block_dim=None)
+            assert direct <= math.log2(6) + 1e-12
+            assert entropy.feature_entropy_bits(fm, [0.25]) == [t / 8]
+
+
 def peak_bytes(fn, *args):
     """Peak traced allocation of one call, its result included."""
     tracemalloc.start()
