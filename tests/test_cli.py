@@ -148,8 +148,8 @@ class TestOraclePower:
         assert run(["oracle", "--depth", "3"]) == 0
         assert run(["oracle", "--depth", "4", "--out", str(out)]) == 1
         report = json.loads(out.read_text())
-        assert set(report["failures"]) == failing
-        assert {k for k, v in report["checks"].items() if v == "fail"} == failing
+        failed = {k for k, v in report["checks"].items() if v == "fail"}
+        assert failed == set(report["failures"]) == failing
 
 
 class TestOracleOrbitSizes:
