@@ -65,7 +65,7 @@ def _cover_relation(D: np.ndarray, unit, eps: float, out) -> np.ndarray:
                          else bound, out=out)
 
 
-COVER_ROWS = 64  # relation rows gathered or summed at once
+COVER_ROWS = 64  # relation rows gathered or summed at once, <= 255
 
 
 def greedy_cover_count(cover: np.ndarray, eps: float, counts: np.ndarray) -> int:
@@ -73,19 +73,19 @@ def greedy_cover_count(cover: np.ndarray, eps: float, counts: np.ndarray) -> int
     to cover the most uncovered sample weight, until at most an eps
     fraction of it is left; point i was drawn counts[i] >= 1 times.
 
-    cover[i, j] is the bool relation "i lies in the ball around j"; it must
-    be reflexive and symmetric, as ball j's members are read from its row.
+    cover[i, j] is the bool relation "i lies in the ball around j"; it must be
+    reflexive and symmetric, as ball j's members are read from its row.
     gains[j], the uncovered weight in ball j, is a column sum plus count - 1
     more times the row of each point with copies, less the rows of newly
-    covered points (COVER_ROWS at a time); no n x n copy is made.  A step
-    scans the first COVER_ROWS balls tied at the best gain, in index order
-    and packed into int bitsets, and takes each that shares no uncovered
-    point with one taken before it.  Copies would share a column, so with
-    points numbered by first occurrence the balls are those of plain greedy
-    on the sample with every copy listed.  At a best gain of 1 each
-    uncovered point has weight 1 and lies in its own ball, so plain greedy
-    would go on one unit per ball: the count is returned.  Bad counts, eps
-    or diagonals raise ValueError.
+    covered points; no n x n copy is made.  Rows are summed as bytes, at most
+    255 at once, which is exact, and widened before copies are added.  A step
+    scans the first COVER_ROWS balls tied at the best gain, in index order as
+    int bitsets, and takes each that shares no uncovered point with one taken
+    before it.  Copies would share a column, so with points numbered by first
+    occurrence the balls are those of plain greedy on the sample with every
+    copy listed.  At a best gain of 1 each uncovered point has weight 1 and
+    lies in its own ball, so plain greedy would go on one unit per ball: the
+    count is returned.  Bad counts, eps or diagonals raise ValueError.
     """
     if cover.dtype != bool:
         raise TypeError(f"cover must be a bool relation, got {cover.dtype}")
@@ -99,13 +99,16 @@ def greedy_cover_count(cover: np.ndarray, eps: float, counts: np.ndarray) -> int
     total = int(counts.sum())
     dt = np.min_scalar_type(total)
     extra = counts.astype(dt) - 1  # copies of a point beyond its first
+    ones, gains = cover.view(np.uint8), np.zeros(len(cover), dt)
 
     def add_copies(rows, out):
         for i in rows[extra[rows] > 0]:
             out += extra[i] * cover[i]
         return out
 
-    gains = add_copies(np.arange(len(cover)), cover.sum(axis=0, dtype=dt))
+    for s in range(0, len(cover), 255):
+        gains += ones[s:s + 255].sum(axis=0, dtype=np.uint8)
+    add_copies(np.arange(len(cover)), gains)
     width = (len(cover) + 7) // 8  # bytes of a packed row
     uncovered = (1 << 8 * width) - 1  # point i is bit 8 * width - 1 - i
     left, allow, balls = total, _max_uncovered(eps, total), 0
@@ -127,7 +130,8 @@ def greedy_cover_count(cover: np.ndarray, eps: float, counts: np.ndarray) -> int
         new = np.flatnonzero(np.unpackbits(bits, count=len(cover)).view(bool))
         for s in range(0, len(new), COVER_ROWS):
             rows = new[s:s + COVER_ROWS]
-            gains -= add_copies(rows, cover[rows].sum(axis=0, dtype=dt))
+            gains -= add_copies(rows, ones[rows].sum(axis=0, dtype=np.uint8)
+                                .astype(dt))  # copies may pass 255
     return max(balls, 1)
 
 
@@ -173,10 +177,10 @@ class FeatureMetric:
 
     def pair_matrix(self) -> np.ndarray:
         """Integer counts M = metric * W.  Each byte of packed columns of
-        multiplicity k adds k * popcount(x_i ^ x_j); k is cast to the dtype
-        of W (a Python int would multiply in uint8 and wrap).  Rows are
-        counted ROW_BLOCK at a time in one reused byte buffer, so no n x n
-        temporary is made besides M."""
+        multiplicity k adds k * popcount(x_i ^ x_j) <= W, so nothing wraps
+        in W's dtype, which k is cast to (a Python int would multiply in
+        uint8); the first byte writes over M, with no zero fill.  Rows go
+        ROW_BLOCK at a time through one byte buffer: no other n x n array."""
         n = len(self.X)
         dt = np.min_scalar_type(int(self.weights.sum()))
         words = []  # (k, one packed byte of every row)
@@ -184,15 +188,18 @@ class FeatureMetric:
             packed = np.packbits(self.X[:, self.weights == k], axis=1)
             words += [(dt.type(k), word)
                       for word in np.ascontiguousarray(packed.T)]
-        M = np.zeros((n, n), dt)
+        M = (np.empty if words else np.zeros)((n, n), dt)
         buf = np.empty((min(n, ROW_BLOCK), n), np.uint8)
         for r in range(0, n, ROW_BLOCK):
             block = M[r:r + ROW_BLOCK]
             x = buf[:len(block)]
-            for k, word in words:
+            for j, (k, word) in enumerate(words):
                 np.bitwise_xor(word[r:r + ROW_BLOCK, None], word, out=x)
-                np.bitwise_count(x, out=x)
-                block += x if k == 1 else x * k
+                np.bitwise_count(x, out=x if j else block)
+                if j:
+                    block += x if k == 1 else x * k
+                elif k != 1:
+                    block *= k
         return M
 
     def dedup(self) -> "FeatureMetric":
@@ -211,8 +218,11 @@ class FeatureMetric:
 
 def _row_keys(X: np.ndarray) -> np.ndarray:
     """One key per row of a binary matrix, ordered as the rows: its packed
-    bytes."""
+    bytes, as a big-endian uint64 (sorted natively) when they fit in 8."""
     packed = np.ascontiguousarray(np.packbits(X, axis=1))
+    if packed.shape[1] <= 8:
+        pad = np.zeros((len(X), 8 - packed.shape[1]), np.uint8)
+        return np.hstack([packed, pad]).view(">u8").ravel().astype(np.uint64)
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 

@@ -20,7 +20,6 @@ total variation between tables is the working distance throughout.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -352,6 +351,7 @@ def run_shards(fn, args_per_shard, workers: int):
     scheduling."""
     if workers <= 1:
         return [fn(*a) for a in args_per_shard]
+    from concurrent.futures import ThreadPoolExecutor  # loads logging
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda a: fn(*a), args_per_shard))
 

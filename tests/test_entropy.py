@@ -485,6 +485,52 @@ class TestGreedyIncremental:
         assert entropy.greedy_cover_count(within(D, 1e-12), 1e-12,
                                           counts) == 8
 
+    # relation rows are summed as bytes, at most 255 of them at once; these
+    # sizes put a column's count on both sides of one and two byte chunks
+    BYTE_EDGE = [255, 256, 511, 600]
+
+    @staticmethod
+    def plain(D, counts, eps):
+        """Plain greedy on the sample with point i listed counts[i] times."""
+        rows = np.repeat(np.arange(len(counts)), counts)
+        return reference_greedy(D[np.ix_(rows, rows)], eps)
+
+    @pytest.mark.parametrize("n", BYTE_EDGE)
+    @pytest.mark.parametrize("copies", [1, 3])
+    def test_all_true_relation_past_one_byte(self, n, copies):
+        # every ball holds every point, so every gain reads n * copies
+        counts = np.full(n, copies)
+        D = np.zeros((n, n))
+        assert entropy.greedy_cover_count(within(D, 0.1), 0.1, counts) == \
+            self.plain(D, counts, 0.1) == 1
+
+    @pytest.mark.parametrize("n", BYTE_EDGE)
+    def test_cliques_past_one_byte(self, n):
+        # two cliques far apart, shuffled, of 3n/4 and n/4 points drawn 1-3
+        # times each; the larger clique has more than 255 points from n = 511
+        rng = RNG(n)
+        side = rng.permutation(np.arange(n) < 3 * n // 4).astype(float)
+        counts = rng.integers(1, 4, n)
+        D = np.abs(side[:, None] - side[None, :])
+        assert entropy.greedy_cover_count(within(D, 0.01), 0.01, counts) == \
+            self.plain(D, counts, 0.01) == 2
+
+    @pytest.mark.parametrize("n", BYTE_EDGE)
+    def test_copies_pass_one_byte_in_one_chunk(self, n):
+        # COVER_ROWS points at 0 drawn five times each and one point at 0.05
+        # share every ball about them, at radius 0.05; the other points lie
+        # apart.  The first ball covers all of them, so their balls lose
+        # 64 * 5 + 1 = 321, 320 of it in the first update chunk, and every
+        # gain left is 1: one unit per ball from there
+        eps, k = 0.1, entropy.COVER_ROWS
+        x = np.concatenate([np.zeros(k), [0.05], 10.0 * np.arange(1, n - k)])
+        counts = np.where(x == 0, 5, 1)
+        D = np.abs(x[:, None] - x[None, :])
+        total = int(counts.sum())
+        want = 1 + (n - k - 1) - entropy._max_uncovered(eps, total)
+        assert entropy.greedy_cover_count(within(D, eps), eps, counts) == \
+            self.plain(D, counts, eps) == want
+
 
 def reference_pair_matrix(X, w):
     """The float64 weighted Hamming matrix: G[i, j] sums the weights of the
@@ -534,16 +580,31 @@ def feature_instances(draw):
 class TestFeatureMetric:
     def test_pair_matrix_is_weighted_hamming(self):
         # also rows of more than one 16-bit word and of more than 64 bits,
-        # n not a multiple of 8, W up to uint8, uint16 and uint32
-        for n, d, top in [(20, 7, 4), (9, 17, 1), (77, 70, 300),
-                          (203, 90, 2000)]:
+        # n not a multiple of 8, W up to uint8, uint16 and uint32; the
+        # first, lightest word writes each row block and is scaled by its
+        # k: k > 1 with W past 255 (uint16), and a single word of k = 3,
+        # 1 or 200
+        for n, d, low, top in [(20, 7, 1, 4), (9, 17, 1, 1), (77, 70, 1, 300),
+                               (203, 90, 1, 2000), (150, 20, 2, 40),
+                               (151, 5, 3, 3), (152, 8, 1, 1),
+                               (153, 3, 200, 200)]:
             rng = RNG(n)
             X = rng.integers(0, 2, (n, d)).astype(np.uint8)
-            w = rng.integers(1, top + 1, d)
+            w = rng.integers(low, top + 1, d)
             M = entropy.FeatureMetric(X, w).pair_matrix()
             assert M.dtype == np.min_scalar_type(w.sum())
             brute = (w * (X[:, None, :] != X[None, :, :])).sum(axis=2)
             assert np.array_equal(M, brute)
+
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    def test_pair_matrix_without_columns_is_zero(self, n):
+        # no word writes the blocks, so the result must come out zeroed:
+        # freed nonzero memory is handed out again first
+        np.full((n, n), 0xff, np.uint8)
+        fm = entropy.FeatureMetric(np.zeros((n, 0), np.uint8),
+                                   np.zeros(0, np.int64))
+        M = fm.pair_matrix()
+        assert M.shape == (n, n) and not M.any()
 
     @settings(max_examples=100, deadline=None)
     @given(feature_instances(), st.sampled_from([0.5, 0.25, 0.1]),
@@ -578,6 +639,37 @@ class TestFeatureMetric:
         dd = fm.dedup()
         assert np.array_equal(dd.X, X) and np.array_equal(dd.weights, w)
         assert dd.weights.dtype == fm.weights.dtype
+
+    @pytest.mark.parametrize("d", range(1, 73))
+    def test_row_keys_sort_as_void_keys(self, d):
+        # 1-9 packed bytes: integer keys up to 8, void keys past; both
+        # give np.unique's order and inverse, and first_occurrence's
+        # classes, of the packed bytes compared one by one
+        rng = RNG(d)
+        pool = rng.integers(0, 2, (40, d)).astype(np.uint8)
+        X = pool[rng.integers(0, 40, 300)]
+        packed = np.packbits(X, axis=1)
+        void = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        keys = entropy._row_keys(X)
+        assert keys.dtype == (np.uint64 if d <= 64 else void.dtype)
+        for a, b in zip(
+                np.unique(keys, return_index=True, return_inverse=True)[1:],
+                np.unique(void, return_index=True, return_inverse=True)[1:]):
+            assert np.array_equal(a, b)
+        for a, b in zip(entropy.first_occurrence(keys),
+                        entropy.first_occurrence(void)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 31, 63, 64, 65])
+    def test_dedup_column_order_on_few_rows(self, n):
+        # columns of n <= 64 rows are sorted by integer keys
+        rng = RNG(n)
+        X = rng.integers(0, 2, (n, 60)).astype(np.uint8)
+        X = np.hstack([X, X[:, ::3], np.zeros((n, 2), np.uint8)])
+        fm = entropy.FeatureMetric(X, rng.integers(1, 5, X.shape[1]))
+        cols, w = reference_dedup(fm.X, fm.weights)
+        dd = fm.dedup()
+        assert np.array_equal(dd.X, cols) and np.array_equal(dd.weights, w)
 
     def test_dedup_preserves_metric(self):
         rng = RNG(6)
@@ -957,6 +1049,21 @@ class TestNoMaskedArrays:
             "print(before, 'numpy.ma' in sys.modules)\n")
         before, after = run_python(script).split()
         assert after == before
+
+
+class TestLazyThreadPool:
+    def test_one_worker_does_not_import_the_thread_pool(self):
+        # concurrent.futures pulls in logging, a few ms of every start-up;
+        # only run_shards with workers > 1 needs it
+        script = (
+            "import contextlib, io, sys\n"
+            "from adicop import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    cli.main(['scaling', '--mode', 'd', '--sigma', '1111',\n"
+            "              '--scales', '2 4', '--samples', '200',\n"
+            "              '--workers', '1'])\n"
+            "print('concurrent.futures' in sys.modules)\n")
+        assert run_python(script).split() == ["False"]
 
 
 class TestLayering:
