@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Print, per (regime, t, eps) cell of the z-mode curve, which of its two
 covering estimates wins the max and the headroom of the direct estimate
-to the sample ceiling log2(n - floor(eps * n)), at each sample size n.
+to the sample ceiling log2(n - entropy._max_uncovered(eps, n)), at each
+sample size n.
 
     python3 scripts/z_headroom.py [--samples N ...] [--times T ...]
                                   [--eps E ...] [--seed S]
@@ -10,11 +11,12 @@ to the sample ceiling log2(n - floor(eps * n)), at each sample size n.
 `entropy.z_estimates`: the direct estimate (the plain greedy on the t-step
 averaged cut) and the aligned estimate (the block-additive estimate of its
 phase-aligned form).  Every ball of the direct greedy covers at least one
-new point and floor(eps * n) points may stay uncovered, so a direct
-estimate close to that ceiling measures the sample size as much as the
-metric; the aligned estimate sums blocks and has no such ceiling.  The
-sample is the one `scaling_curve` draws for the same seed and top time, so
-at n = 2000 and seed 0 the max is the value in
+new point, and the greedy stops once at most _max_uncovered(eps, n) points
+are left uncovered: eps * n rounded down, less one where eps * n is an
+integer.  So a direct estimate close to that ceiling measures the sample
+size as much as the metric; the aligned estimate sums blocks and has no
+such ceiling.  The sample is the one `scaling_curve` draws for the same
+seed and top time, so at n = 2000 and seed 0 the max is the value in
 results/scaling_z_<regime>.csv.  Nothing is written.
 """
 
@@ -46,7 +48,7 @@ def main():
                 direct, aligned = entropy.z_estimates(w, alpha, t,
                                                       args.eps)
                 for eps, d, a in zip(args.eps, direct, aligned):
-                    ceiling = math.log2(n - math.floor(eps * n))
+                    ceiling = math.log2(n - entropy._max_uncovered(eps, n))
                     winner = ("direct" if d > a else "aligned" if a > d
                               else "tie")
                     print(f"{name:<11} {t:>3} {eps:>6} {n:>6} {d:>8.3f} "

@@ -64,18 +64,15 @@ def parse_sigma(text: str) -> tuple[int, ...]:
     return tuple(int(c) for c in text)
 
 
-def parse_int_list(text: str) -> list[int]:
+def parse_list(text: str, kind) -> list:
     try:
-        return [int(tok) for tok in text.replace(",", " ").split()]
+        return [kind(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
-        raise UsageError(f"expected a list of integers, got {text!r}")
+        raise UsageError(f"expected a list of {kind.__name__}s, got {text!r}")
 
 
 def parse_eps_list(text: str) -> list[float]:
-    try:
-        eps_grid = [float(tok) for tok in text.replace(",", " ").split()]
-    except ValueError:
-        raise UsageError(f"expected a list of numbers, got {text!r}")
+    eps_grid = parse_list(text, float)
     if (not eps_grid or len(set(eps_grid)) < len(eps_grid)
             or not all(math.isfinite(e) and e > 0 for e in eps_grid)):
         raise UsageError(f"eps must be distinct, finite and positive, got {text!r}")
@@ -247,7 +244,7 @@ def sharded_curve(args, sigma, scales, eps_grid, k: int = 0) -> EntropyCurve:
 def cmd_scaling(args, cfg) -> int:
     """Entropy growth curve and its growth-class verdict."""
     sigma = parse_sigma(args.sigma)
-    scales = parse_int_list(args.scales)
+    scales = parse_list(args.scales, int)
     eps_grid = parse_eps_list(args.eps)
     if len(scales) < 2 or any(a >= b for a, b in zip(scales, scales[1:])):
         raise UsageError("scaling needs at least 2 strictly increasing scales"

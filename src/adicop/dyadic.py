@@ -73,8 +73,8 @@ def tau_inv(digits) -> int:
 
 
 def sigma_extend(sigma, n: int) -> tuple[int, ...]:
-    """Pad a finite sigma with zeros up to length n (extra generators act inside D^sigma)."""
-    sigma = tuple(sigma)
+    """Pad a bit string sigma with zeros to length n; extra generators act inside D^sigma."""
+    sigma = check_bits(sigma)
     if len(sigma) >= n:
         return sigma[:n]
     return sigma + (0,) * (n - len(sigma))

@@ -217,12 +217,8 @@ class FeatureMetric:
 
 
 def _row_keys(X: np.ndarray) -> np.ndarray:
-    """One key per row of a binary matrix, ordered as the rows: its packed
-    bytes, as a big-endian uint64 (sorted natively) when they fit in 8."""
+    """Void keys of a binary matrix's rows, sorted as big-endian bit strings."""
     packed = np.ascontiguousarray(np.packbits(X, axis=1))
-    if packed.shape[1] <= 8:
-        pad = np.zeros((len(X), 8 - packed.shape[1]), np.uint8)
-        return np.hstack([packed, pad]).view(">u8").ravel().astype(np.uint64)
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
@@ -253,7 +249,9 @@ def feature_entropy_bits(fm: FeatureMetric, eps_grid,
         # in dedup's column order, which fixes the summation order
         idx = np.sort(order[b::n_blocks])
         X = fm.X[:, idx]
-        first, _, counts = first_occurrence(_row_keys(X))
+        key = (measures.pack_words if len(idx) <= 1 << measures.PACK_LOG2
+               else _row_keys)  # first_occurrence ignores the key order
+        first, _, counts = first_occurrence(key(X))
         block = FeatureMetric(X[first], fm.weights[idx])
         bits = _cover_bits(block.pair_matrix(), block.weights.sum(), counts,
                            eps_grid)

@@ -256,6 +256,18 @@ def test_samplers_build_without_drawing(monkeypatch):
         entropy.curve_sampler(mode, (1,) * 4, scales, 100, 1)
 
 
+@pytest.mark.parametrize("sigma", [(2,), (1, -1)])
+def test_library_refuses_a_sigma_of_non_bits(monkeypatch, sigma):
+    # the library checks sigma itself, not only the CLI's parse_sigma
+    monkeypatch.setattr(np.random, "default_rng", _refuse)
+    for build in (lambda: MSigmaSampler(sigma, 1),
+                  lambda: OmegaSigmaSampler(sigma, 2, 2),
+                  lambda: entropy.curve_sampler("d", sigma, [2, 3], 50),
+                  lambda: dyadic.coset_count(sigma, 3)):
+        with pytest.raises(ValueError, match="not all bits"):
+            build()
+
+
 class TestBadEps:
     @pytest.mark.parametrize("mode", ["d", "z", "filtration"])
     @pytest.mark.parametrize("eps", BAD_EPS)
@@ -519,7 +531,7 @@ def _library_curve(mode, sigma, scales, n_samples):
         sigma, cli.DEFAULTS["scaling"]["k"], scales, 0.25, n_samples, 0)
 
 
-SRC_LINES_MAX = 2059  # src/ below the seed's 2128 lines; lower it as src/ shrinks
+SRC_LINES_MAX = 2054  # src/ below the seed's 2128 lines; lower it as src/ shrinks
 
 
 def test_src_line_count():
@@ -564,7 +576,7 @@ def test_reproduces_committed_scaling(tmp_path, capsys, mode, regime):
 
     lib = tmp_path / "library.csv"
     _library_curve(mode, cli.parse_sigma(sigma),
-                   cli.parse_int_list(run_cfg["scales"]),
+                   cli.parse_list(run_cfg["scales"], int),
                    int(run_cfg["samples"])).to_csv(lib)
     assert _csv_rows(lib) == _csv_rows(want)
 

@@ -642,16 +642,21 @@ class TestFeatureMetric:
 
     @pytest.mark.parametrize("d", range(1, 73))
     def test_row_keys_sort_as_void_keys(self, d):
-        # 1-9 packed bytes: integer keys up to 8, void keys past; both
-        # give np.unique's order and inverse, and first_occurrence's
-        # classes, of the packed bytes compared one by one
+        # 1-9 packed bytes: void keys give np.unique's order and inverse,
+        # and first_occurrence's classes, of the packed bytes compared one
+        # by one; up to 64 columns the estimator keys rows by pack_words,
+        # whose classes are the same
         rng = RNG(d)
         pool = rng.integers(0, 2, (40, d)).astype(np.uint8)
         X = pool[rng.integers(0, 40, 300)]
         packed = np.packbits(X, axis=1)
         void = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
         keys = entropy._row_keys(X)
-        assert keys.dtype == (np.uint64 if d <= 64 else void.dtype)
+        assert keys.dtype == void.dtype
+        if d <= 64:
+            for a, b in zip(entropy.first_occurrence(measures.pack_words(X)),
+                            entropy.first_occurrence(void)):
+                assert np.array_equal(a, b)
         for a, b in zip(
                 np.unique(keys, return_index=True, return_inverse=True)[1:],
                 np.unique(void, return_index=True, return_inverse=True)[1:]):
@@ -662,7 +667,8 @@ class TestFeatureMetric:
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 31, 63, 64, 65])
     def test_dedup_column_order_on_few_rows(self, n):
-        # columns of n <= 64 rows are sorted by integer keys
+        # columns of n <= 64 rows, one to eight packed bytes, are sorted
+        # by their byte keys
         rng = RNG(n)
         X = rng.integers(0, 2, (n, 60)).astype(np.uint8)
         X = np.hstack([X, X[:, ::3], np.zeros((n, 2), np.uint8)])
@@ -919,12 +925,21 @@ class TestClosedForm:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_z_direct_at_the_ceiling(self, seed):
         # at t = 32 the closed form, about 14.6 bits, lies above the sample
-        # ceiling log2(n - floor(eps * n)), about 10.55 bits, and the direct
-        # estimate reads within 0.25 bits of the ceiling
+        # ceiling, log2 of the most balls the greedy reports on n units
+        # (about 10.55 bits), and the direct estimate reads within 0.25 bits
+        # of the ceiling
         n = 2000
-        ceiling = math.log2(n - math.floor(self.EPS * n))
+        ceiling = math.log2(n - entropy._max_uncovered(self.EPS, n))
         closed = 32 * (1 - binary_entropy(self.EPS / 2))
         assert ceiling - 0.25 <= self.z_direct(seed, 32, n) <= ceiling < closed
+
+    def test_z_direct_reaches_the_ceiling(self):
+        # at t = 64 the seed-0 cover reaches the ceiling exactly: 1501
+        # balls, one more than n - eps * n, as eps * n = 500 is an integer
+        # and the greedy stops once at most eps * n - 1e-9 units are left
+        n = 2000
+        assert n - entropy._max_uncovered(self.EPS, n) == 1501
+        assert self.z_direct(0, 64, n) == math.log2(1501)
 
 
 class TestFiltrationGrowthOverK:
@@ -951,8 +966,9 @@ class TestFiltrationGrowthOverK:
 class TestZSampleLimited:
     def test_direct_estimate_grows_with_samples(self):
         # alternating sigma at t = 256: the direct z-estimate sits just
-        # under the sample ceiling log2(n - floor(eps * n)) and climbs with
-        # it, about one bit per doubling of n, on nested samples of one draw
+        # under the sample ceiling, log2 of the most balls the greedy reports
+        # on n units, and climbs with it, about one bit per doubling of n, on
+        # nested samples of one draw; eps * n is an integer at n = 500, 1000
         eps, t = 0.25, 256
         sample = measures.draw_sharded(
             OmegaSigmaSampler((1, 0) * 4, 8, 8), 1000, 0, 1)
@@ -961,10 +977,20 @@ class TestZSampleLimited:
             fm = entropy.z_feature_metric(sample["w"][:n],
                                           sample["alpha"][:n], t)
             bits, = entropy.feature_entropy_bits(fm, (eps,), block_dim=None)
-            ceiling = math.log2(n - math.floor(eps * n))
+            ceiling = math.log2(n - entropy._max_uncovered(eps, n))
             assert ceiling - 0.25 <= bits <= ceiling
             readings.append(bits)
         assert all(b - a > 0.5 for a, b in zip(readings, readings[1:]))
+
+    def test_headroom_script_reads_no_negative_headroom(self):
+        # the ones regime's direct cover reaches the ceiling at t = 64, 1501
+        # balls; n less eps * n rounded down, 1500, would read one ball short
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        out = run_python(os.path.join(root, "scripts", "z_headroom.py"),
+                         "--samples", "2000", "--times", "64", "--eps", "0.25")
+        rows = [line.split() for line in out.splitlines()[1:]]
+        assert len(rows) == 3 and all(float(r[-1]) >= 0 for r in rows)
+        assert min(float(r[-1]) for r in rows) == 0
 
 
 class TestBlockAdditiveNeedsIndependentBlocks:
@@ -1021,13 +1047,14 @@ class TestKernelMemory:
         assert peak_bytes(self.block().pair_matrix) < n * n * 5 // 4
 
 
-def run_python(script: str) -> str:
-    """stdout of `script` in a fresh interpreter that imports this adicop."""
+def run_python(*args: str) -> str:
+    """stdout of a fresh interpreter run with `args` that imports this
+    adicop."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(entropy.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -1047,7 +1074,7 @@ class TestNoMaskedArrays:
             "        cli.main(['scaling', '--mode', mode, '--sigma', '1111',\n"
             "                  '--scales', '2 4', '--samples', '200'])\n"
             "print(before, 'numpy.ma' in sys.modules)\n")
-        before, after = run_python(script).split()
+        before, after = run_python("-c", script).split()
         assert after == before
 
 
@@ -1063,7 +1090,7 @@ class TestLazyThreadPool:
             "              '--scales', '2 4', '--samples', '200',\n"
             "              '--workers', '1'])\n"
             "print('concurrent.futures' in sys.modules)\n")
-        assert run_python(script).split() == ["False"]
+        assert run_python("-c", script).split() == ["False"]
 
 
 class TestLayering:
@@ -1073,7 +1100,7 @@ class TestLayering:
         script = ("import sys, adicop.entropy\n"
                   "print('adicop.coding' in sys.modules,"
                   " 'adicop.graph' in sys.modules)\n")
-        assert run_python(script).split() == ["False", "False"]
+        assert run_python("-c", script).split() == ["False", "False"]
 
 
 class TestCheckScales:
