@@ -182,13 +182,13 @@ def _check_kantorovich_oracle(seed=0):
     rng = np.random.default_rng(seed)
 
     class L1(filtration.Semimetric):
-        def dist(self, x, y):
-            return float(np.abs(x - y).sum())
+        def dist(self, x, y):  # left to right, as numpy sums three floats
+            return abs(x[0] - y[0]) + abs(x[1] - y[1]) + abs(x[2] - y[2])
 
     for n in (1, 2, 3):
         for _ in range(3):
-            t1 = filtration.OrbitTree(n, [rng.random(3) for _ in range(1 << n)])
-            t2 = filtration.OrbitTree(n, [rng.random(3) for _ in range(1 << n)])
+            t1 = filtration.OrbitTree(n, [rng.random(3).tolist() for _ in range(1 << n)])
+            t2 = filtration.OrbitTree(n, [rng.random(3).tolist() for _ in range(1 << n)])
             dp = filtration.kantorovich(L1(), t1, t2)
             bf = filtration.kantorovich_bruteforce(L1(), t1, t2)
             if abs(dp - bf) > 1e-12:

@@ -101,9 +101,9 @@ def greedy_cover_count(cover: np.ndarray, eps: float, counts: np.ndarray) -> int
     extra = counts.astype(dt) - 1  # copies of a point beyond its first
     ones, gains = cover.view(np.uint8), np.zeros(len(cover), dt)
 
-    def add_copies(rows, out):
-        for i in rows[extra[rows] > 0]:
-            out += extra[i] * cover[i]
+    def add_copies(rows, out):  # one product; its sum is at most total
+        if (rows := rows[extra[rows] > 0]).size:
+            out += extra[rows] @ cover[rows]
         return out
 
     for s in range(0, len(cover), 255):

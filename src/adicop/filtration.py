@@ -4,13 +4,13 @@ An orbit tree of depth n lists the 2**n translates of a point by D_n,
 leaf at position mask g holding the translate by g; the dyadic hierarchy
 splits on the top mask bit, so the two children are the contiguous halves
 of the leaf array.  The Kantorovich iteration of a leaf semimetric is the
-cheapest hierarchy-preserving matching, computed by one child-swap fold
-of the leaf costs (`child_swap`); for the discrete metric on a finite
-alphabet it becomes the orbit Hamming distance dist_m under the tree
-automorphism group.  `kantorovich_pairs` folds it from leaf mismatches and
-`pairwise_dist_matrix` once per pair of canonical subtree codes; both
-return the integer count of mismatched leaves, dist_m times 2**m, which
-the covering estimator reads with unit 2**m as it reads feature counts.
+cheapest hierarchy-preserving matching, one child-swap fold of the leaf
+costs (`child_swap`); for the discrete metric on a finite alphabet it is
+the orbit Hamming distance dist_m under the tree automorphism group.
+`kantorovich_pairs` folds it from leaf mismatches, `pairwise_dist_matrix`
+once per pair of subtree codes numbered by first occurrence, in row
+blocks; both count mismatched leaves, dist_m times 2**m, which the
+covering estimator reads with unit 2**m as it reads feature counts.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .entropy import (EntropyCurve, Semimetric, _cover_bits, _max_uncovered,
                       curve_sampler, first_occurrence, scaling_curve)
 from .measures import pack_words
 
+TABLE_CELLS = 1 << 20  # entries of an orbit table built at once
 
 # ---------------------------------------------------------------------------
 # orbit trees
@@ -139,34 +140,34 @@ def pairwise_dist_matrix(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (S, 2**m) array, and the class of every row.
 
     Level 0 codes the symbols, and a node's code one level up is the id of
-    the sorted pair of its children's codes, so two subtrees share a code
-    iff a tree automorphism maps one onto the other (Aho, Hopcroft and
-    Ullman).  T[u, v] is the fewest mismatched leaves between codes u and
-    v, from the step of `child_swap` run once per pair of codes:
-    min(T[a, a'] + T[b, b'], T[a, b'] + T[b, a']) between (a, b) and
-    (a', b').  The root codes are the orbit classes, numbered by first
-    occurrence; the root table holds the `kantorovich_pairs` counts
-    between them, of its dtype.
+    the unordered pair of its children's codes, so two subtrees share a
+    code iff a tree automorphism maps one onto the other (Aho, Hopcroft and
+    Ullman); codes are numbered by first occurrence at every level, so the
+    root codes are the orbit classes in the cover's order.  T[u, v] is the
+    fewest mismatched leaves between codes u and v, from the step of
+    `child_swap` once per pair of codes, min(T[a, a'] + T[b, b'],
+    T[a, b'] + T[b, a']) between (a, b) and (a', b'), in blocks of about
+    TABLE_CELLS entries; the root table is the `kantorovich_pairs` counts.
     """
-    symbols, codes = np.unique(sym, return_inverse=True)
-    codes, L = codes.reshape(sym.shape), sym.shape[1]
-    T = (symbols[:, None] != symbols).astype(np.min_scalar_type(L))
+    first, codes, _ = first_occurrence(sym.ravel())
+    symbols, codes = sym.ravel()[first], codes.reshape(sym.shape)
+    T = (symbols[:, None] != symbols).astype(np.min_scalar_type(sym.shape[1]))
     while codes.shape[1] > 1:
-        kids = np.sort(codes.reshape(len(sym), -1, 2), axis=2)
-        keys, codes = np.unique(kids[..., 0] * len(T) + kids[..., 1],
-                                return_inverse=True)
-        codes = codes.reshape(len(sym), -1)
-        a, b = np.divmod(keys, len(T))
-        # a second gather costs less than a strided transpose of the first
-        Ta, Tb = T.take(a, axis=0), T.take(b, axis=0)
-        T = Ta.take(a, axis=1)
-        T += Tb.take(b, axis=1)
-        cross = Ta.take(b, axis=1)
-        cross += Tb.take(a, axis=1)
-        np.minimum(T, cross, out=T)
-    root = codes[:, 0]
-    first, labels, _ = first_occurrence(root)
-    return T[np.ix_(root[first], root[first])], labels
+        x, y = codes[:, 0::2], codes[:, 1::2]
+        keys = (np.minimum(x, y) * len(T) + np.maximum(x, y)).ravel()
+        first, codes, _ = first_occurrence(keys)
+        a, b = np.divmod(keys[first], len(T))
+        codes, old = codes.reshape(len(sym), -1), T
+        T = np.empty((len(a),) * 2, old.dtype)
+        step = max(1, TABLE_CELLS // len(a))
+        for s in range(0, len(a), step):
+            # a second gather costs less than a strided transpose of the first
+            Ta, Tb = old.take(a[s:s + step], 0), old.take(b[s:s + step], 0)
+            out = np.add(Ta.take(a, 1), Tb.take(b, 1), out=T[s:s + step])
+            cross = Ta.take(b, 1)
+            cross += Tb.take(a, 1)
+            np.minimum(out, cross, out=out)
+    return T, codes[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -299,13 +299,15 @@ class TestCovering:
         assert bits[0] > bits[2] > 0
 
 
-def reference_greedy(D, eps):
+def reference_greedy(D, eps, counts=None):
     """Plain greedy: recompute every ball's gain with a matmul per ball;
-    balls are the columns of the cover relation."""
+    balls are the columns of the cover relation.  With counts, point i
+    weighs counts[i], as if listed that many times."""
     cover = within(D, eps)
-    uncovered = np.ones(D.shape[0])
+    uncovered = np.ones(D.shape[0]) if counts is None else counts * 1.0
     balls = 0
-    while uncovered.sum() > entropy._max_uncovered(eps, D.shape[0]):
+    while uncovered.sum() > entropy._max_uncovered(eps, len(D) if counts is
+                                                   None else counts.sum()):
         uncovered[cover[:, int(np.argmax(uncovered @ cover))]] = 0.0
         balls += 1
     return max(balls, 1)
@@ -514,6 +516,41 @@ class TestGreedyIncremental:
         D = np.abs(side[:, None] - side[None, :])
         assert entropy.greedy_cover_count(within(D, 0.01), 0.01, counts) == \
             self.plain(D, counts, 0.01) == 2
+
+    @pytest.mark.parametrize("n, dtype", [(12, np.uint16), (40, np.uint16),
+                                          (500, np.uint32)])
+    @pytest.mark.parametrize("eps", [0.1, 0.6])
+    def test_copies_product_does_not_wrap(self, n, dtype, eps):
+        # every point drawn 2-300 times: copies are added by one product in
+        # the count dtype, and the fullest ball's copies pass 255.  The
+        # weighted reference equals the sample with every copy listed where
+        # that is small enough to build
+        rng = RNG(n)
+        x = rng.random(n)
+        counts = rng.integers(2, 301, n)
+        D = np.abs(x[:, None] - x[None, :])
+        assert np.min_scalar_type(int(counts.sum())) == dtype
+        want = reference_greedy(D, eps, counts)
+        if n <= 12:
+            assert want == self.plain(D, counts, eps)
+        assert entropy.greedy_cover_count(within(D, eps), eps, counts) == want
+
+    def test_copies_past_two_bytes_in_one_ball(self):
+        # clique A (230 points drawn 290-300 times) holds more than 65535
+        # copies, clique B (80 points drawn 250 times) fewer, and 20 lone
+        # points drawn 2-300 times lie apart.  Ball A alone leaves at most
+        # eps = 0.5 of the weight: one ball.  Copies summed in 16 bits
+        # would read A below B, take B first and need two
+        rng = RNG(18)
+        x = np.concatenate([rng.random(230) * 1e-3, 10 + rng.random(80) * 1e-3,
+                            20 + 10.0 * np.arange(20)])
+        counts = np.concatenate([rng.integers(290, 301, 230),
+                                 np.full(80, 250), rng.integers(2, 301, 20)])
+        a, b = counts[:230].sum(), counts[230:310].sum()
+        assert (a - 230) % 2 ** 16 + 230 < b < 2 ** 16 <= a - 230
+        D = np.abs(x[:, None] - x[None, :])
+        assert entropy.greedy_cover_count(within(D, 0.5), 0.5, counts) == \
+            reference_greedy(D, 0.5, counts) == 1
 
     @pytest.mark.parametrize("n", BYTE_EDGE)
     def test_copies_pass_one_byte_in_one_chunk(self, n):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from adicop import filtration, measures
 from adicop.entropy import (Semimetric, _max_uncovered, asymp_compare,
-                            curve_sampler)
+                            curve_sampler, first_occurrence)
 
 
 def RNG(s=0):
@@ -154,6 +154,37 @@ def expanded_dist(sym):
     return table[np.ix_(labels, labels)]
 
 
+def reference_pairwise_dist_matrix(sym):
+    """The table and labels built from sorted codes: codes numbered in key
+    order at every level, each pair of child codes sorted, and the root
+    table re-gathered into the classes' first-occurrence order."""
+    symbols, codes = np.unique(sym, return_inverse=True)
+    codes, L = codes.reshape(sym.shape), sym.shape[1]
+    T = (symbols[:, None] != symbols).astype(np.min_scalar_type(L))
+    while codes.shape[1] > 1:
+        kids = np.sort(codes.reshape(len(sym), -1, 2), axis=2)
+        keys, codes = np.unique(kids[..., 0] * len(T) + kids[..., 1],
+                                return_inverse=True)
+        codes = codes.reshape(len(sym), -1)
+        a, b = np.divmod(keys, len(T))
+        Ta, Tb = T[a], T[b]
+        T = np.minimum(Ta[:, a] + Tb[:, b], Ta[:, b] + Tb[:, a])
+    root = codes[:, 0]
+    first, labels, _ = first_occurrence(root)
+    return T[np.ix_(root[first], root[first])], labels
+
+
+def assert_same_tables(sym):
+    """pairwise_dist_matrix and the sorted-code reference agree in table
+    bytes, dtype and labels."""
+    table, labels = filtration.pairwise_dist_matrix(sym)
+    want, want_labels = reference_pairwise_dist_matrix(sym)
+    assert table.dtype == want.dtype and table.shape == want.shape
+    assert table.tobytes() == want.tobytes()
+    assert labels.dtype == want_labels.dtype
+    assert np.array_equal(labels, want_labels)
+
+
 def all_pairs_kernel(sym):
     """dist_m on every ordered pair of rows, by the child-swap kernel."""
     i, j = np.indices((len(sym),) * 2)
@@ -226,6 +257,46 @@ class TestDistM:
                          [random_automorphism_image(rng, base[0])
                           for _ in range(4)]])
         assert np.array_equal(expanded_dist(sym), all_pairs_kernel(sym))
+
+    @settings(max_examples=150, deadline=None)
+    @given(symbol_rows())
+    def test_tables_match_sorted_codes(self, inst):
+        assert_same_tables(inst[0])
+
+    def test_tables_match_sorted_codes_on_bytes_and_depth_0(self):
+        # 256 symbols over 8 leaves, and single-leaf rows, where the
+        # symbols are the classes
+        rng = RNG(15)
+        assert_same_tables(rng.integers(0, 256, (300, 8)))
+        assert_same_tables(rng.integers(0, 5, (40, 1)))
+
+    def test_tables_match_sorted_codes_in_many_blocks(self, monkeypatch):
+        # 600 rows over 256 symbols give about 1200 level-1 codes, two
+        # blocks of TABLE_CELLS; at 64 cells a block holds a row or a few.
+        # The estimator's 256 rows of at most 8 leaves have at most 1024
+        # codes a level, one block
+        assert filtration.TABLE_CELLS >= (256 * 8 // 2) ** 2
+        rng = RNG(16)
+        sym = rng.integers(0, 256, (600, 4))
+        assert len(np.unique(np.sort(sym.reshape(-1, 2), axis=1), axis=0)) \
+            ** 2 > filtration.TABLE_CELLS
+        assert_same_tables(sym)
+        monkeypatch.setattr(filtration, "TABLE_CELLS", 64)
+        assert_same_tables(sym[:200])
+        assert_same_tables(rng.integers(0, 3, (100, 16)))
+
+    def test_large_alphabet_memory_bound(self):
+        # q = 256, m = 3, S = 2000: up to 8000 level-1 codes, a 64 MB
+        # table; a level holds the old table, the new one and one block
+        # of temporaries (built whole, the tables took 168 MiB)
+        sym = RNG(17).integers(0, 256, (2000, 8))
+        tracemalloc.start()
+        try:
+            filtration.pairwise_dist_matrix(sym)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * 2 ** 20
 
     def test_matrix_memory_bound(self):
         # 300 binary trees of depth 5: the tables between orbit codes take
