@@ -305,9 +305,8 @@ def reference_greedy(D, eps, counts=None):
     weighs counts[i], as if listed that many times."""
     cover = within(D, eps)
     uncovered = np.ones(D.shape[0]) if counts is None else counts * 1.0
-    balls = 0
-    while uncovered.sum() > entropy._max_uncovered(eps, len(D) if counts is
-                                                   None else counts.sum()):
+    allow, balls = entropy._max_uncovered(eps, int(uncovered.sum())), 0
+    while uncovered.sum() > allow:
         uncovered[cover[:, int(np.argmax(uncovered @ cover))]] = 0.0
         balls += 1
     return max(balls, 1)
