@@ -13,12 +13,13 @@ change, each (seed, workload) runs once in every checkout, in an order
 that alternates from one seed to the next.  The file holds the --trace
 flag; per checkout, its git commit, the git tree of its src/, whether it
 had uncommitted changes and whether cached bytecode (*.pyc) lay under its
-src/; the value of PYTHONDONTWRITEBYTECODE; per run, the checkout,
-workload and seed, the 1-minute load average just before the run
-(`load1`), and the details line and the result line of perfbench/run.py;
-and per workload and checkout the median of each metric over the runs.  A
-load1 near or above the core count marks a run made while other work
-shared the machine.
+src/; the values of PYTHONDONTWRITEBYTECODE and OPENBLAS_NUM_THREADS, None
+when unset (unless the latter is 1, idle OpenBLAS threads spin and add to
+cpu_s); per run, the checkout, workload and seed, the 1-minute load
+average just before the run (`load1`), and the details line and the
+result line of perfbench/run.py; and per workload and checkout the median
+of each metric over the runs.  A load1 near or above the core count marks
+a run made while other work shared the machine.
 
 With two or more checkouts the second is paired with the first by seed:
 per workload and metric, the file keeps under "paired" (and the script
@@ -150,6 +151,7 @@ def main():
         "tag": args.tag, "seconds": SECONDS, "trace": args.trace,
         "checkouts": revisions,
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "medians": medians}
     if len(checkouts) > 1:
         record["paired"] = paired(runs, checkouts[0][0], checkouts[1][0],

@@ -41,7 +41,7 @@ def main():
     for name, sigma in REGIMES.items():
         for n in args.samples:
             sampler = entropy.curve_sampler("z", parse_sigma(sigma), args.times,
-                                            n)
+                                            args.eps, n)
             sample = measures.draw_sharded(sampler, n, args.seed, 1)
             w, alpha = sample["w"], sample["alpha"]
             for t in args.times:

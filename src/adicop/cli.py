@@ -71,14 +71,6 @@ def parse_list(text: str, kind) -> list:
         raise UsageError(f"expected a list of {kind.__name__}s, got {text!r}")
 
 
-def parse_eps_list(text: str) -> list[float]:
-    eps_grid = parse_list(text, float)
-    if (not eps_grid or len(set(eps_grid)) < len(eps_grid)
-            or not all(math.isfinite(e) and e > 0 for e in eps_grid)):
-        raise UsageError(f"eps must be distinct, finite and positive, got {text!r}")
-    return eps_grid
-
-
 def load_config(path: str) -> list[str]:
     """Flat `key = value` lines as `--key=value` flags; blank lines and #
     comments ignored."""
@@ -101,8 +93,10 @@ def config_header(cfg: dict) -> list[str]:
     return lines
 
 
-def emit_json(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def emit_json(payload: dict, cfg: dict, out_path: str | None) -> None:
+    """The payload with its config and version, as JSON on stdout and out_path."""
+    text = json.dumps({**payload, "config": cfg, "version": version_string()},
+                      indent=2, sort_keys=True)
     print(text)
     if out_path:
         with open(out_path, "w") as f:
@@ -219,11 +213,9 @@ def cmd_oracle(args, cfg) -> int:
     results = run_shards(lambda name, fn, a: (name, fn(*a)),
                          checks, args.workers)
     failures = {name: msg for name, msg in results if msg}
-    report = {"checks": {name: ("fail" if msg else "pass")
-                         for name, msg in results},
-              "failures": failures, "config": cfg,
-              "version": version_string()}
-    emit_json(report, args.out)
+    emit_json({"checks": {name: ("fail" if msg else "pass")
+                          for name, msg in results},
+               "failures": failures}, cfg, args.out)
     return 1 if failures else 0
 
 
@@ -234,7 +226,8 @@ def sharded_curve(args, sigma, scales, eps_grid, k: int = 0) -> EntropyCurve:
     """The library's curve on the sampler `entropy.curve_sampler` builds;
     a request it refuses is a usage error."""
     try:
-        sampler = curve_sampler(args.mode, sigma, scales, args.samples, k)
+        sampler = curve_sampler(args.mode, sigma, scales, eps_grid,
+                                args.samples, k)
     except ValueError as e:
         raise UsageError(str(e)) from None
     return scaling_curve(args.mode, sampler, scales, eps_grid, args.samples,
@@ -245,7 +238,7 @@ def cmd_scaling(args, cfg) -> int:
     """Entropy growth curve and its growth-class verdict."""
     sigma = parse_sigma(args.sigma)
     scales = parse_list(args.scales, int)
-    eps_grid = parse_eps_list(args.eps)
+    eps_grid = parse_list(args.eps, float)
     if len(scales) < 2 or any(a >= b for a, b in zip(scales, scales[1:])):
         raise UsageError("scaling needs at least 2 strictly increasing scales"
                          f", got {args.scales!r}")
@@ -256,10 +249,8 @@ def cmd_scaling(args, cfg) -> int:
                 for eps in eps_grid}
     if args.out:
         curve.to_csv(args.out, header_lines=config_header(cfg))
-    payload = {"verdicts": verdicts,
-               "targets": {str(eps): target for eps in eps_grid},
-               "config": cfg, "version": version_string()}
-    emit_json(payload, None)
+    emit_json({"verdicts": verdicts,
+               "targets": {str(eps): target for eps in eps_grid}}, cfg, None)
     return 0 if all(v["pass"] for v in verdicts.values()) else 1
 
 
@@ -329,10 +320,7 @@ def cmd_classify(args, cfg) -> int:
     report = measures.classify_periodic_type(
         sampler, args.kmax, args.cyl_len, args.n_accept, args.tol,
         np.random.default_rng(args.seed), args.workers)
-    report["config"] = cfg
-    report["version"] = version_string()
-    report["seed"] = args.seed
-    emit_json(report, args.out)
+    emit_json({**report, "seed": args.seed}, cfg, args.out)
     return 0
 
 
@@ -342,13 +330,12 @@ def cmd_classify(args, cfg) -> int:
 def cmd_entropy(args, cfg) -> int:
     """One ad-hoc entropy estimate."""
     sigma = parse_sigma(args.sigma)
-    eps_grid = parse_eps_list(args.eps)
+    eps_grid = parse_list(args.eps, float)
     if len(eps_grid) != 1:
         raise UsageError(f"entropy takes a single eps, got {args.eps!r}")
     curve = sharded_curve(args, sigma, [args.scale], eps_grid)
     emit_json({"bits": curve.bits()[0], "eps": eps_grid[0],
-               "scale": args.scale, "mode": args.mode, "config": cfg,
-               "version": version_string()}, args.out)
+               "scale": args.scale, "mode": args.mode}, cfg, args.out)
     return 0
 
 

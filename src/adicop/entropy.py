@@ -361,12 +361,13 @@ def z_estimates(w: np.ndarray, alpha: np.ndarray, t: int, eps_grid):
     (plain greedy on the metric, sharp at small t, saturating near
     log2(sample size)) and aligned (block-additive on its phase-aligned
     form, tracking the effective dimension at large t)."""
+    check_scales("z", [t], eps_grid, len(w), w.shape[1].bit_length() - 1)
     return (feature_entropy_bits(z_feature_metric(w, alpha, t), eps_grid,
                                  block_dim=None),
             feature_entropy_bits(z_aligned_metric(w, alpha, t), eps_grid))
 
 
-def check_scales(mode: str, scales, samples: int, resolution: int,
+def check_scales(mode: str, scales, eps_grid, samples: int, resolution: int,
                  k: int = 0) -> None:
     """Reject a curve request before anything is drawn (ValueError).
 
@@ -374,6 +375,7 @@ def check_scales(mode: str, scales, samples: int, resolution: int,
     (mode "filtration") or dyadic times t = 2**n (mode "z"); every n must
     lie within the resolution, and 0 <= k <= measures.PACK_LOG2 in every
     mode (a filtration leaf symbol packs the 2**k digits of D_k in a code).
+    The eps grid is nonempty, with no value repeated, each finite and > 0.
     """
     if mode not in ("d", "z", "filtration"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -381,6 +383,10 @@ def check_scales(mode: str, scales, samples: int, resolution: int,
         raise ValueError(f"samples must be at least 1, got {samples}")
     if not scales:
         raise ValueError("no scales given")
+    eps = list(eps_grid)
+    if (not eps or len(set(eps)) < len(eps)
+            or not all(math.isfinite(e) and e > 0 for e in eps)):
+        raise ValueError(f"eps must be distinct, finite and positive, got {eps}")
     if not 0 <= k <= measures.PACK_LOG2:
         raise ValueError(f"k must lie in [0, {measures.PACK_LOG2}], 2**k "
                          f"digits packed per symbol, got {k}")
@@ -395,11 +401,12 @@ def check_scales(mode: str, scales, samples: int, resolution: int,
                              + (f" (above k = {k})" if lowest else ""))
 
 
-def curve_sampler(mode: str, sigma, scales, samples: int, k: int = 0):
+def curve_sampler(mode: str, sigma, scales, eps_grid, samples: int,
+                  k: int = 0):
     """The sampler a curve of `mode` draws from: m^sigma on D_N with N the
     top scale, or omega^sigma with M = N = log2 of the top time in mode
-    "z".  The scales pass `check_scales` at N_MAX before it is built."""
-    check_scales(mode, scales, samples, N_MAX, k)
+    "z".  The request passes `check_scales` at N_MAX before it is built."""
+    check_scales(mode, scales, eps_grid, samples, N_MAX, k)
     if mode == "z":
         N = max(scales).bit_length() - 1
         return measures.OmegaSigmaSampler(sigma, N, N)
@@ -411,7 +418,7 @@ def scaling_curve(mode: str, sampler, scales, eps_grid, samples: int,
     """Entropy curve of `samples` draws from `sampler`, one row per (scale,
     eps), scale outer.
 
-    The scales pass `check_scales` at the sampler's resolution N, and mode
+    The request passes `check_scales` at the sampler's resolution N, and mode
     "z" needs digit resolution M = N, before `measures.draw_sharded` draws
     the sample of configurations w (plus digit values alpha in mode "z").
 
@@ -422,7 +429,7 @@ def scaling_curve(mode: str, sampler, scales, eps_grid, samples: int,
     others block-additively (`_split_entropy_bits`).
     """
     from .filtration import _split_entropy_bits, reduce_symbols
-    check_scales(mode, scales, samples, sampler.N, k)
+    check_scales(mode, scales, eps_grid, samples, sampler.N, k)
     M = getattr(sampler, "M", None)
     if mode == "z" and M != sampler.N:
         raise ValueError(f"mode z needs digit resolution M = N = {sampler.N}"

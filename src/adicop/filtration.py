@@ -223,8 +223,8 @@ def lemma17_entropy_exact(m: int, r: int, q: int, eps: float) -> float:
     of the depth-(m - r) recursion.
     """
     _check_orbit_args(m, q, r)
-    if eps / 2 >= 2.0 ** -m:
-        raise ValueError("exact oracle needs eps/2 below the distance quantum")
+    if not 0 < eps / 2 < 2.0 ** -m:
+        raise ValueError(f"exact oracle needs 0 < eps/2 < 2**-m, got {eps}")
     hist = _orbit_histogram(m - r, q)
     total = q ** (1 << (m - r))
     need = total - _max_uncovered(eps, total)
@@ -335,7 +335,7 @@ def filtration_scaling(sigma, k: int, levels, eps: float = 0.25,
     """Entropy curve of K_n[rho_k] across the representatives of the
     filtration elements, under m^sigma (see `scaling_curve`)."""
     levels = list(levels)
-    sampler = curve_sampler("filtration", sigma, levels, n_samples, k)
+    sampler = curve_sampler("filtration", sigma, levels, (eps,), n_samples, k)
     return scaling_curve("filtration", sampler, levels, (eps,), n_samples,
                          seed, k)
 

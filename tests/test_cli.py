@@ -300,7 +300,7 @@ def test_samplers_build_without_drawing(monkeypatch):
           for spec in _script("classify_zoo").SPECS.values()]
     assert Ms == [M, M, measures.ToeplitzBase().R]
     for mode, scales in [("d", [2, 3]), ("z", [4, 8]), ("filtration", [3, 4])]:
-        entropy.curve_sampler(mode, (1,) * 4, scales, 100, 1)
+        entropy.curve_sampler(mode, (1,) * 4, scales, (0.25,), 100, 1)
 
 
 @pytest.mark.parametrize("sigma", [(2,), (1, -1)])
@@ -309,7 +309,8 @@ def test_library_refuses_a_sigma_of_non_bits(monkeypatch, sigma):
     monkeypatch.setattr(np.random, "default_rng", _refuse)
     for build in (lambda: MSigmaSampler(sigma, 1),
                   lambda: OmegaSigmaSampler(sigma, 2, 2),
-                  lambda: entropy.curve_sampler("d", sigma, [2, 3], 50),
+                  lambda: entropy.curve_sampler("d", sigma, [2, 3], (0.25,),
+                                                50),
                   lambda: dyadic.coset_count(sigma, 3)):
         with pytest.raises(ValueError, match="not all bits"):
             build()
@@ -578,7 +579,7 @@ def _library_curve(mode, sigma, scales, n_samples):
         sigma, cli.DEFAULTS["scaling"]["k"], scales, 0.25, n_samples, 0)
 
 
-SRC_LINES_MAX = 2055  # src/ below the seed's 2128 lines; lower it as src/ shrinks
+SRC_LINES_MAX = 2049  # src/ below the seed's 2128 lines; lower it as src/ shrinks
 
 
 def test_src_line_count():
@@ -705,8 +706,9 @@ class TestOptionTable:
         ids=list(CONFIG_KEYS))
     def test_echoed_config_keys(self, capsys, argv):
         assert run(argv) in (0, 1)
-        config = json.loads(capsys.readouterr().out)["config"]
-        assert sorted(config) == CONFIG_KEYS[argv[0]]
+        report = json.loads(capsys.readouterr().out)
+        assert sorted(report["config"]) == CONFIG_KEYS[argv[0]]
+        assert report["version"] == cli.version_string()
 
     @pytest.mark.parametrize("key", cli.RANGES)
     def test_range_edges(self, monkeypatch, capsys, key):
@@ -956,6 +958,11 @@ class TestBenchScript:
         monkeypatch.setattr(bench, "git", lambda *args: "rev")
         monkeypatch.setattr(bench, "cached_bytecode", lambda path: False)
         monkeypatch.setattr(bench, "ROOT", tmp_path)
+        # the file records the variable as set, or None when unset
+        if trace:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        else:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         monkeypatch.setattr(sys, "argv", [
             "bench.py", "--tag", "t", "--workloads", "growth-d", "growth-z",
             "--seeds", "5", "--trace", str(trace)])
@@ -966,6 +973,7 @@ class TestBenchScript:
                          for w in ("growth-d", "growth-z")]
         record = json.loads((tmp_path / "BENCH_t.json").read_text())
         assert record["trace"] == trace
+        assert record["OPENBLAS_NUM_THREADS"] == ("1" if trace else None)
         assert record["medians"] == {w: {"this": {f"{w}.s": 1}}
                                      for w in ("growth-d", "growth-z")}
 

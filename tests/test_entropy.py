@@ -188,6 +188,20 @@ class TestFeatureMetricsAreTheAverages:
         with pytest.raises(ValueError, match=f"{size} columns"):
             entropy.z_feature_metric(w, np.arange(4), 2)
 
+    @pytest.mark.parametrize("t", [6, 32])
+    def test_z_estimates_refuse_a_time_off_the_width(self, monkeypatch, t):
+        # on 16 columns the aligned metric reads repeated columns at t = 6
+        # (carry | j collides for j >= 4) and divides by zero at t = 32;
+        # neither metric is built
+        def refuse(*args):
+            raise AssertionError("metric built before the time was checked")
+        sample = measures.draw_sharded(OmegaSigmaSampler((1,) * 4, 4, 4),
+                                       200, 0, 1)
+        for build in ("z_feature_metric", "z_aligned_metric"):
+            monkeypatch.setattr(entropy, build, refuse)
+        with pytest.raises(ValueError, match=f"scale {t} must"):
+            entropy.z_estimates(sample["w"], sample["alpha"], t, (0.25,))
+
 
 def within(D, eps):
     """The float layer's cover relation; column j is the ball around j."""
@@ -796,7 +810,8 @@ class TestEpsGrid:
     def test_one_orbit_table_per_terminal_block(self):
         sigma, levels = (1,) * 7, [4, 5, 6]
         grid = entropy.DEFAULT_EPS_GRID
-        sampler = entropy.curve_sampler("filtration", sigma, levels, 64, 1)
+        sampler = entropy.curve_sampler("filtration", sigma, levels, grid,
+                                        64, 1)
         alone = [entropy.scaling_curve("filtration", sampler, levels, (eps,),
                                        64, 0, 1) for eps in grid]
         with mock.patch.object(filtration, "pairwise_dist_matrix",
@@ -990,7 +1005,8 @@ class TestFiltrationGrowthOverK:
     @pytest.mark.parametrize("sigma", ["1" * 12, "10" * 6, "0" * 12])
     def test_same_class_for_every_k(self, seed, k, sigma):
         sigma, levels = tuple(map(int, sigma)), list(range(k + 2, k + 7))
-        sampler = entropy.curve_sampler("filtration", sigma, levels, 1000, k)
+        sampler = entropy.curve_sampler("filtration", sigma, levels, (0.25,),
+                                        1000, k)
         bits = entropy.scaling_curve("filtration", sampler, levels, (0.25,),
                                      1000, seed, k).bits(0.25)
         assert entropy.asymp_compare(
@@ -1139,40 +1155,61 @@ class TestLayering:
         assert run_python("-c", script).split() == ["False", "False"]
 
 
+# (mode, scales, samples, k) refused at resolution 20 with a valid eps grid
+BAD_REQUESTS = [
+    ("d", [3, 4], 0, 0), ("d", [], 10, 0),
+    ("d", [-1], 10, 0), ("d", [21], 10, 0),
+    ("filtration", [2, 3], 10, 2), ("filtration", [3], 10, -1),
+    ("filtration", [8, 9], 10, 7),
+    ("filtration", [21], 10, 1), ("z", [0], 10, 0),
+    ("z", [-4], 10, 0), ("z", [6], 10, 0), ("z", [2 ** 21], 10, 0),
+    ("x", [3], 10, 0)]
+# eps grids refused with valid scales: at the greedy an eps of 0 is refused
+# only once the sample is drawn, and a repeated eps writes duplicate rows
+BAD_GRIDS = {"empty": (), "zero": (0.0,), "nan": (math.nan,),
+             "repeated": (0.25, 0.25)}
+
+
 class TestCheckScales:
     @pytest.mark.parametrize("mode,scales,k", [
         ("d", [0, 20], 0), ("filtration", [1, 20], 0),
         ("filtration", [3, 4], 2), ("z", [1, 2 ** 20], 0),
         ("filtration", [7, 20], 6)])
     def test_edges_accepted(self, mode, scales, k):
-        entropy.check_scales(mode, scales, 1, 20, k)
+        entropy.check_scales(mode, scales, (0.5, 0.25), 1, 20, k)
 
-    @pytest.mark.parametrize("mode,scales,samples,k", [
-        ("d", [3, 4], 0, 0), ("d", [], 10, 0),
-        ("d", [-1], 10, 0), ("d", [21], 10, 0),
-        ("filtration", [2, 3], 10, 2), ("filtration", [3], 10, -1),
-        ("filtration", [8, 9], 10, 7),
-        ("filtration", [21], 10, 1), ("z", [0], 10, 0),
-        ("z", [-4], 10, 0), ("z", [6], 10, 0), ("z", [2 ** 21], 10, 0),
-        ("x", [3], 10, 0)])
-    def test_rejected(self, mode, scales, samples, k):
+    @pytest.mark.parametrize("mode,scales,samples,k,eps_grid", [
+        *[(*case, (0.25,)) for case in BAD_REQUESTS],
+        *[("d", [3, 4], 10, 0, grid) for grid in BAD_GRIDS.values()]],
+        # the ids pytest derives from (mode, scales, samples, k)
+        ids=[f"{mode}-scales{i}-{samples}-{k}"
+             for i, (mode, _, samples, k) in enumerate(BAD_REQUESTS)]
+        + [f"eps-{name}" for name in BAD_GRIDS])
+    def test_rejected(self, mode, scales, samples, k, eps_grid):
         with pytest.raises(ValueError):
-            entropy.check_scales(mode, scales, samples, 20, k)
+            entropy.check_scales(mode, scales, eps_grid, samples, 20, k)
 
-    def test_wrappers_check_before_drawing(self):
-        class Refusing:
-            N = 4
-
-            def draw_w(self, *args):
-                raise AssertionError("drawn before the scales were checked")
-            draw = draw_w
-
+    def test_wrappers_check_before_drawing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drawn before the request was checked")
+        monkeypatch.setattr(entropy.measures, "draw_sharded", refuse)
+        d_sampler = MSigmaSampler((1,) * 4, 4)
+        z_sampler = OmegaSigmaSampler((1,) * 4, 4, 4)
         with pytest.raises(ValueError):
-            entropy.scaling_curve_d(Refusing(), [3, 5])
+            entropy.scaling_curve_d(d_sampler, [3, 5])
         with pytest.raises(ValueError):
-            entropy.scaling_curve_z(Refusing(), [4, 32])
+            entropy.scaling_curve_z(z_sampler, [4, 32])
         with pytest.raises(ValueError):
-            entropy.scaling_curve_d(Refusing(), [3], n_samples=0)
+            entropy.scaling_curve_d(d_sampler, [3], n_samples=0)
+        for grid in BAD_GRIDS.values():
+            with pytest.raises(ValueError, match="eps must"):
+                entropy.scaling_curve_d(d_sampler, [3, 4], grid, 10)
+            with pytest.raises(ValueError, match="eps must"):
+                entropy.scaling_curve_z(z_sampler, [4, 8], grid, 10)
+            if len(grid) == 1:  # filtration_scaling takes one eps
+                with pytest.raises(ValueError, match="eps must"):
+                    filtration.filtration_scaling((1,) * 4, 1, [2, 3],
+                                                  grid[0], 10)
 
     @pytest.mark.parametrize("M", [2, 8])
     def test_z_refuses_digit_resolution_other_than_n(self, monkeypatch, M):

@@ -464,6 +464,13 @@ class TestOrbits:
             with pytest.raises(ValueError):
                 filtration.max_orbit_size(m, q)
 
+    @pytest.mark.parametrize("eps", [-1.0, 0.0, math.nan])
+    def test_eps_not_positive_rejected(self, eps):
+        # a cover at eps <= 0 would leave no point uncovered and read
+        # log2(6) bits on (2, 0, 2); NaN would reach Fraction
+        with pytest.raises(ValueError, match="0 < eps/2"):
+            filtration.lemma17_entropy_exact(2, 0, 2, eps)
+
 
 class TestLemma17:
     # exact values of the largest-first cover by whole orbits (balls of
@@ -701,7 +708,7 @@ class TestScalingCurve:
         # with a memo of its own
         sigma, levels = (1, 1, 0, 1, 0, 1, 1), [7, 2, 5, 3, 6, 4]
         curve = filtration.filtration_scaling(sigma, 1, levels, n_samples=64)
-        sampler = curve_sampler("filtration", sigma, levels, 64, 1)
+        sampler = curve_sampler("filtration", sigma, levels, (0.25,), 64, 1)
         w = measures.draw_sharded(sampler, 64, 0, 1)["w"]
         for s, eps, bits, *_ in curve.rows:
             assert (bits,) == filtration._split_entropy_bits(
