@@ -11,15 +11,16 @@ the end-to-end ones, with 1 the per-layer ones, such as
 entropy.greedy_cover.s.  With several checkouts, say a parent commit and a
 change, each (seed, workload) runs once in every checkout, in an order
 that alternates from one seed to the next.  The file holds the --trace
-flag; per checkout, its git commit, the git tree of its src/, whether it
-had uncommitted changes and whether cached bytecode (*.pyc) lay under its
-src/; the values of PYTHONDONTWRITEBYTECODE and OPENBLAS_NUM_THREADS, None
-when unset (unless the latter is 1, idle OpenBLAS threads spin and add to
-cpu_s); per run, the checkout, workload and seed, the 1-minute load
-average just before the run (`load1`), and the details line and the
-result line of perfbench/run.py; and per workload and checkout the median
-of each metric over the runs.  A load1 near or above the core count marks
-a run made while other work shared the machine.
+flag; per checkout, its git commit, the git trees of its src/, tests/ and
+perfbench/, whether it had uncommitted changes and whether cached bytecode
+(*.pyc) lay under its src/; the values of PYTHONDONTWRITEBYTECODE and
+OPENBLAS_NUM_THREADS, None when unset (unless the latter is 1, idle
+OpenBLAS threads spin and add to cpu_s); per run, the checkout, workload
+and seed, the 1-minute load average just before the run (`load1`), and
+the details line and the result line of perfbench/run.py; and per
+workload and checkout the median of each metric over the runs.  A load1
+near or above the core count marks a run made while other work shared the
+machine.
 
 With two or more checkouts the second is paired with the first by seed:
 per workload and metric, the file keeps under "paired" (and the script
@@ -31,6 +32,12 @@ the second reads nonzero there is flagged.
 A checkout with cached bytecode skips compiling src/ at start-up, so
 checkouts that differ in it are not comparable on setup_s; the script warns
 on stderr when they do.
+
+When the checkouts' tests/ or perfbench/ trees differ, the Tier-1 suite
+(`python -m pytest -q --continue-on-collection-errors` with the checkout's
+src/ on PYTHONPATH) then runs once in each checkout, after every benchmark
+run, and the file keeps under "tier1" per checkout the load before it, its
+wall time, its exit status and pytest's summary line.
 """
 
 import argparse
@@ -39,6 +46,7 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -76,6 +84,23 @@ def bench(checkout, workload, seed, trace) -> dict:
     details, result = proc.stdout.splitlines()[-2:]
     return {"load1": load1, "details": json.loads(details),
             "result": json.loads(result)}
+
+
+def tier1(checkout) -> dict:
+    """One timed run of the checkout's Tier-1 suite: the load before it,
+    its wall time, exit status and summary line."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(checkout) / "src"), env.get("PYTHONPATH")) if p)
+    load1, start = os.getloadavg()[0], time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q",
+         "--continue-on-collection-errors"],
+        cwd=checkout, env=env, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    return {"load1": load1, "wall_s": time.perf_counter() - start,
+            "returncode": proc.returncode,
+            "summary": lines[-1] if lines else ""}
 
 
 def paired(runs, first, second, workloads) -> dict:
@@ -124,7 +149,8 @@ def main():
     args = p.parse_args()
     checkouts = [c.split("=", 1) for c in args.checkout or [f"this={ROOT}"]]
     revisions = {name: {"commit": git(path, "rev-parse", "HEAD"),
-                        "src_tree": git(path, "rev-parse", "HEAD:src"),
+                        **{f"{d}_tree": git(path, "rev-parse", f"HEAD:{d}")
+                           for d in ("src", "tests", "perfbench")},
                         "dirty": bool(git(path, "status", "--porcelain")),
                         "cached_bytecode": cached_bytecode(path)}
                  for name, path in checkouts}
@@ -156,6 +182,12 @@ def main():
     if len(checkouts) > 1:
         record["paired"] = paired(runs, checkouts[0][0], checkouts[1][0],
                                   args.workloads)
+    if len({(r["tests_tree"], r["perfbench_tree"])
+            for r in revisions.values()}) > 1:
+        record["tier1"] = {name: tier1(path) for name, path in checkouts}
+        for name, t in record["tier1"].items():
+            print(f"tier-1 {name}: {t['wall_s']:.1f} s, {t['summary']}",
+                  file=sys.stderr)
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps({**record, "runs": runs}, indent=1) + "\n")
     print(out)

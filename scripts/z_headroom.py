@@ -17,7 +17,9 @@ integer.  So a direct estimate close to that ceiling measures the sample
 size as much as the metric; the aligned estimate sums blocks and has no
 such ceiling.  The sample is the one `scaling_curve` draws for the same
 seed and top time, so at n = 2000 and seed 0 the max is the value in
-results/scaling_z_<regime>.csv.  Nothing is written.
+results/scaling_z_<regime>.csv.  Nothing is written.  A request that
+`entropy.check_scales` refuses, or a negative seed, is a usage error
+(exit 2) before anything is printed or drawn.
 """
 
 import argparse
@@ -36,6 +38,13 @@ def main():
     p.add_argument("--eps", type=float, nargs="+", default=[0.5, 0.25, 0.1])
     p.add_argument("--seed", type=int, default=0)
     args = p.parse_args()
+    try:  # the refusals of a curve request, before anything is drawn
+        if args.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {args.seed}")
+        for n in args.samples:
+            entropy.check_scales("z", args.times, args.eps, n, entropy.N_MAX)
+    except ValueError as e:
+        p.error(str(e))
     print("regime       t    eps      n   direct  aligned  winner   "
           "ceiling  headroom")
     for name, sigma in REGIMES.items():

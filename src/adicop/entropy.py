@@ -66,6 +66,7 @@ def _cover_relation(D: np.ndarray, unit, eps: float, out) -> np.ndarray:
 
 
 COVER_ROWS = 64  # relation rows gathered or summed at once, <= 255
+KEY_TABLE = 1 << 16  # integer keys below it are numbered without a sort
 
 
 def greedy_cover_count(cover: np.ndarray, eps: float, counts: np.ndarray) -> int:
@@ -136,13 +137,21 @@ def greedy_cover_count(cover: np.ndarray, eps: float, counts: np.ndarray) -> int
 
 
 def first_occurrence(keys: np.ndarray):
-    """Classes of equal keys, numbered in order of first occurrence: the
-    index of each class's first key, the class of every key and the class
-    sizes."""
-    _, first, inv, counts = np.unique(keys, return_index=True,
-                                      return_inverse=True, return_counts=True)
-    order = np.argsort(first)
-    return first[order], np.argsort(order)[inv], counts[order]
+    """Classes of equal keys in order of first occurrence: each class's
+    first index, every key's class and the class sizes.  Keys other than
+    integers in [0, KEY_TABLE) are first replaced by their rank; a table
+    indexed by key then holds each key's least index, then its class."""
+    top = keys.max(initial=0) if keys.dtype.kind in "iu" else KEY_TABLE
+    if top >= KEY_TABLE or keys.min(initial=0) < 0:
+        keys, top = np.unique(keys, return_inverse=True)[1], len(keys)
+    # table and index share one narrow dtype, or ufunc.at leaves its fast loop
+    idx = np.arange(len(keys), dtype=np.min_scalar_type(len(keys)))
+    table = np.full(int(top) + 1, len(keys), idx.dtype)
+    np.minimum.at(table, keys, idx)
+    first = np.flatnonzero(table[keys] == idx)
+    table[keys[first]] = idx[:len(first)]
+    inv = table[keys].astype(np.intp)  # wide: callers multiply the classes
+    return first, inv, np.bincount(inv, minlength=len(first))
 
 
 def _cover_bits(D: np.ndarray, unit, counts: np.ndarray,

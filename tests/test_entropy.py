@@ -342,6 +342,80 @@ def distinct(D, labels):
     return D[np.ix_(first, first)], np.bincount(labels)
 
 
+def reference_first_occurrence(keys):
+    """first_occurrence by a plain loop: a dict from each key to its class,
+    numbered as keys first appear."""
+    classes, first, inv, counts = {}, [], [], []
+    for i, key in enumerate(keys.tolist()):
+        if key not in classes:
+            classes[key] = len(first)
+            first.append(i)
+            counts.append(0)
+        inv.append(classes[key])
+        counts[classes[key]] += 1
+    return tuple(np.array(x, np.intp) for x in (first, inv, counts))
+
+
+def unique_first_occurrence(keys):
+    """first_occurrence as np.unique's sorted classes, reordered by their
+    first index."""
+    _, first, inv, counts = np.unique(keys, return_index=True,
+                                      return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inv], counts[order]
+
+
+def void_keys(rng, n, width):
+    """_row_keys of n rows drawn from four random rows of `width` bits."""
+    X = rng.integers(0, 2, (4, width)).astype(np.uint8)[rng.integers(0, 4, n)]
+    return entropy._row_keys(X)
+
+
+class TestFirstOccurrence:
+    KT = entropy.KEY_TABLE
+
+    @pytest.mark.parametrize("keys", [
+        np.zeros(0, np.int64), np.zeros(0, np.uint8), void_keys(RNG(), 0, 9),
+        np.array([7]), np.array([KT]), np.full(300, 5), np.full(300, KT),
+        np.array([KT - 1, 3, KT - 1, 0, 3]), np.array([KT, 3, KT, 0, 3]),
+        np.array([KT, KT - 1, 0, KT - 1, KT]),
+        RNG(1).integers(-5, 5, 200), np.array([-1, 0, -1]),
+        RNG(2).integers(0, 256, 255).astype(np.uint8),
+        RNG(3).integers(0, 256, 256).astype(np.uint8),
+        RNG(4).integers(0, 7, 5000).astype(np.uint8),
+        RNG(5).integers(0, 1 << 20, 3000).astype(np.int32),
+        RNG(6).integers(0, KT, 70000).astype(np.int32),
+        RNG(7).integers(0, 1 << 16, 2000).astype(np.uint16),
+        (1 << 62) + RNG(8).integers(0, 5, 100),
+        np.array([1 << 62, 0, (1 << 62) - 1, 1 << 62]),
+        RNG(9).integers(0, 1 << 62, 2000).astype(np.uint64),
+        void_keys(RNG(10), 300, 9), void_keys(RNG(11), 1, 80)],
+        ids=["empty", "empty-uint8", "empty-void", "one", "one-at-cut",
+             "all-equal", "all-equal-at-cut", "below-cut", "at-cut",
+             "across-cut", "negative", "minus-one", "uint8-255-keys",
+             "uint8-256-keys", "uint8-few", "int32-wide", "int32-70000-keys",
+             "uint16-full-range", "int64-near-2^62", "int64-2^62-edges",
+             "uint64-wide", "void", "void-one"])
+    def test_matches_the_dict_loop(self, keys):
+        # values and dtypes of all three outputs, against the dict loop and
+        # against np.unique's classes reordered by first index
+        got = entropy.first_occurrence(keys)
+        for ref in (reference_first_occurrence(keys),
+                    unique_first_occurrence(keys)):
+            for a, b in zip(got, ref):
+                assert a.dtype == b.dtype == np.intp
+                assert np.array_equal(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0, 1, 2, 255, 256, KT - 1, KT, -1,
+                                     -(1 << 40), 1 << 62]), max_size=40))
+    def test_mixed_keys_match_the_dict_loop(self, values):
+        keys = np.array(values, np.int64)
+        for a, b in zip(entropy.first_occurrence(keys),
+                        reference_first_occurrence(keys)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 @st.composite
 def cover_instances(draw, max_n):
     """Normalized L1 matrices on a small integer grid or normalized Hamming
@@ -1044,6 +1118,20 @@ class TestZSampleLimited:
         assert len(rows) == 3 and all(float(r[-1]) >= 0 for r in rows)
         assert min(float(r[-1]) for r in rows) == 0
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--eps", "0", "eps must be distinct"),
+        ("--times", "3", "dyadic time"),
+        ("--samples", "0", "samples must be at least 1"),
+        ("--seed", "-1", "seed must be at least 0")])
+    def test_headroom_script_refuses_a_bad_request(self, flag, value,
+                                                   message):
+        # a usage error (exit 2) before any draw, not a traceback
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        proc = python_process(os.path.join(root, "scripts", "z_headroom.py"),
+                              flag, value)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+
 
 class TestBlockAdditiveNeedsIndependentBlocks:
     @pytest.mark.parametrize("seed", [0, 1])
@@ -1099,15 +1187,21 @@ class TestKernelMemory:
         assert peak_bytes(self.block().pair_matrix) < n * n * 5 // 4
 
 
-def run_python(*args: str) -> str:
-    """stdout of a fresh interpreter run with `args` that imports this
+def python_process(*args: str) -> subprocess.CompletedProcess:
+    """A finished fresh interpreter run with `args` that imports this
     adicop."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(entropy.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, *args], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def run_python(*args: str) -> str:
+    """stdout of a fresh interpreter run with `args` that imports this
+    adicop; the run must exit 0."""
+    proc = python_process(*args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from adicop import filtration, measures
 from adicop.entropy import (Semimetric, _max_uncovered, asymp_compare,
-                            curve_sampler, first_occurrence)
+                            curve_sampler)
 
 
 def RNG(s=0):
@@ -169,9 +169,12 @@ def reference_pairwise_dist_matrix(sym):
         a, b = np.divmod(keys, len(T))
         Ta, Tb = T[a], T[b]
         T = np.minimum(Ta[:, a] + Tb[:, b], Ta[:, b] + Tb[:, a])
+    # each row's class is the rank of its class's first row among them all
     root = codes[:, 0]
-    first, labels, _ = first_occurrence(root)
-    return T[np.ix_(root[first], root[first])], labels
+    first, inv = np.unique(root, return_index=True, return_inverse=True)[1:]
+    firsts = np.sort(first)
+    labels = np.searchsorted(firsts, first[inv])
+    return T[np.ix_(root[firsts], root[firsts])], labels
 
 
 def assert_same_tables(sym):
