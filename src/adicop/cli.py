@@ -72,18 +72,22 @@ def parse_list(text: str, kind) -> list:
 
 
 def load_config(path: str) -> list[str]:
-    """Flat `key = value` lines as `--key=value` flags; blank lines and #
-    comments ignored."""
+    """Flat `key = value` lines of UTF-8 text as `--key=value` flags; blank
+    lines and # comments ignored."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            lines = f.readlines()
+        except UnicodeDecodeError as e:
+            raise UsageError(f"{path}: not UTF-8 text ({e.reason})") from None
     out = []
-    with open(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key = value")
-            key, val = line.split("=", 1)
-            out.append(f"--{key.strip().replace('_', '-')}={val.strip()}")
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key = value")
+        key, val = line.split("=", 1)
+        out.append(f"--{key.strip().replace('_', '-')}={val.strip()}")
     return out
 
 

@@ -76,10 +76,10 @@ def greedy_cover_count(cover: np.ndarray, eps: float, counts: np.ndarray) -> int
 
     cover[i, j] is the bool relation "i lies in the ball around j"; it must be
     reflexive and symmetric, as ball j's members are read from its row.
-    gains[j], the uncovered weight in ball j, is a column sum plus count - 1
-    more times the row of each point with copies, less the rows of newly
-    covered points; no n x n copy is made.  Rows are summed as bytes, at most
-    255 at once, which is exact, and widened before copies are added.  A step
+    gains[j], the uncovered weight in ball j, is the count-weighted sum of the
+    rows of all points, less those of newly covered points; each sum takes at
+    most 255 rows: their byte sum (exact) widened, plus count - 1 more times
+    each row with copies, so no temporary exceeds 255 rows.  A step
     scans the first COVER_ROWS balls tied at the best gain, in index order as
     int bitsets, and takes each that shares no uncovered point with one taken
     before it.  Copies would share a column, so with points numbered by first
@@ -100,16 +100,17 @@ def greedy_cover_count(cover: np.ndarray, eps: float, counts: np.ndarray) -> int
     total = int(counts.sum())
     dt = np.min_scalar_type(total)
     extra = counts.astype(dt) - 1  # copies of a point beyond its first
-    ones, gains = cover.view(np.uint8), np.zeros(len(cover), dt)
+    ones, points = cover.view(np.uint8), np.arange(len(cover))
 
-    def add_copies(rows, out):  # one product; its sum is at most total
-        if (rows := rows[extra[rows] > 0]).size:
-            out += extra[rows] @ cover[rows]
+    def row_sum(rows):  # <= 255 rows (a slice or indices); sum <= total
+        out = ones[rows].sum(axis=0, dtype=np.uint8).astype(dt)
+        if (copied := points[rows][extra[rows] > 0]).size:
+            out += extra[copied] @ cover[copied]
         return out
 
+    gains = np.zeros(len(cover), dt)
     for s in range(0, len(cover), 255):
-        gains += ones[s:s + 255].sum(axis=0, dtype=np.uint8)
-    add_copies(np.arange(len(cover)), gains)
+        gains += row_sum(slice(s, s + 255))
     width = (len(cover) + 7) // 8  # bytes of a packed row
     uncovered = (1 << 8 * width) - 1  # point i is bit 8 * width - 1 - i
     left, allow, balls = total, _max_uncovered(eps, total), 0
@@ -130,9 +131,7 @@ def greedy_cover_count(cover: np.ndarray, eps: float, counts: np.ndarray) -> int
         bits = np.frombuffer(taken.to_bytes(width, "big"), np.uint8)
         new = np.flatnonzero(np.unpackbits(bits, count=len(cover)).view(bool))
         for s in range(0, len(new), COVER_ROWS):
-            rows = new[s:s + COVER_ROWS]
-            gains -= add_copies(rows, ones[rows].sum(axis=0, dtype=np.uint8)
-                                .astype(dt))  # copies may pass 255
+            gains -= row_sum(new[s:s + COVER_ROWS])
     return max(balls, 1)
 
 

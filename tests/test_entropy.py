@@ -1179,6 +1179,16 @@ class TestKernelMemory:
         assert peak_bytes(entropy.greedy_cover_count, cover, 0.25,
                           units(n)) < n * n // 8
 
+    def test_greedy_copies_take_one_chunk_of_rows(self):
+        # points drawn 1-3 times: the copies are summed over at most 255
+        # rows at once, each widened to the count dtype, never over all n
+        n = self.N
+        cover = entropy._cover_relation(self.block().pair_matrix(), 16, 0.25,
+                                        None)
+        counts = RNG(9).integers(1, 4, n)
+        assert peak_bytes(entropy.greedy_cover_count, cover, 0.25,
+                          counts) < 255 * n * 4
+
     def test_pair_matrix_makes_no_n_by_n_temporary(self):
         # the result (n**2 bytes at total weight 16) plus a quarter of it
         # for packing and the row-block buffer; an n x n XOR plane alone
